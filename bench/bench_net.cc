@@ -56,8 +56,6 @@
 //                    prints them); default = host:port labels
 //   --transport=T    server transport regime (DESIGN.md §5h):
 //                      epoll  readiness event loop (default)
-//                      uring  io_uring completion loop (falls back to
-//                             epoll — visibly — when the probe fails)
 //                      shm    shared-memory ring; clients connect via
 //                             shm:// instead of TCP
 //                    in-process server mode only
@@ -69,7 +67,7 @@
 //
 // In-process runs also report syscalls-per-request per regime, from the
 // server's transport_syscalls STATS delta across the regime — the number
-// the io_uring/shm backends exist to drive down.
+// the shm backend exists to drive down.
 
 #include <sched.h>
 #include <unistd.h>
@@ -340,9 +338,7 @@ void MergeStats(const net::StatsPayload& from, net::StatsPayload* into) {
       std::max(into->write_queue_peak_bytes, from.write_queue_peak_bytes);
   into->catalog_listings += from.catalog_listings;
   into->catalog_bytes += from.catalog_bytes;
-  into->transport_fallbacks += from.transport_fallbacks;
   into->transport_syscalls += from.transport_syscalls;
-  into->uring_sqe_submitted += from.uring_sqe_submitted;
   into->shm_doorbell_wakes += from.shm_doorbell_wakes;
   for (size_t v = 0; v < net::kNumVerbSlots; ++v) {
     into->requests_by_verb[v] += from.requests_by_verb[v];
@@ -454,9 +450,7 @@ void EmitJson(FILE* out, const BenchConfig& config, bool bit_identical,
   json.Field("connections_killed", server_stats.connections_killed);
   json.Field("connections_refused", server_stats.connections_refused);
   json.Field("faults_injected", server_stats.faults_injected);
-  json.Field("transport_fallbacks", server_stats.transport_fallbacks);
   json.Field("transport_syscalls", server_stats.transport_syscalls);
-  json.Field("uring_sqe_submitted", server_stats.uring_sqe_submitted);
   json.Field("shm_doorbell_wakes", server_stats.shm_doorbell_wakes);
   json.Field("write_queue_peak_bytes", server_stats.write_queue_peak_bytes);
   json.Field("catalog_listings", server_stats.catalog_listings);
@@ -535,7 +529,7 @@ int main(int argc, char** argv) {
 
   net::TransportKind transport_kind;
   if (!net::ParseTransportKind(config.transport, &transport_kind)) {
-    std::fprintf(stderr, "--transport=%s: expected epoll, uring, or shm\n",
+    std::fprintf(stderr, "--transport=%s: expected epoll or shm\n",
                  config.transport.c_str());
     return 1;
   }
@@ -544,11 +538,6 @@ int main(int argc, char** argv) {
                  "--transport selects the in-process server's backend; an "
                  "--endpoints fleet chooses its own\n");
     return 1;
-  }
-  if (transport_kind == net::TransportKind::kUring &&
-      !net::UringAvailable()) {
-    std::printf("NOTE: io_uring probe failed on this kernel; the server "
-                "will fall back to epoll (recorded in transport_fallbacks)\n");
   }
 
   const bool multi_curve = config.curves > 1;
@@ -658,8 +647,6 @@ int main(int argc, char** argv) {
       options.shm_slots = config.connections + 8;  // + gate/stats clients
       options.shm_shards = config.shards;
       shm_uri = "shm://" + shm_path;
-    } else {
-      options.transport = transport_kind;
     }
     auto started = net::PriceServer::Start(&engine, options);
     if (!started.ok()) {

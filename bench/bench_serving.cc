@@ -32,9 +32,9 @@
 #include "common/thread_pool.h"
 #include "core/pricing_function.h"
 #include "random/rng.h"
+#include "serving/catalog_registry.h"
 #include "serving/price_query_engine.h"
 #include "serving/pricing_snapshot.h"
-#include "serving/snapshot_registry.h"
 
 namespace mbp {
 namespace {
@@ -174,8 +174,8 @@ int main(int argc, char** argv) {
 
   const core::PiecewiseLinearPricing curve = MakeDenseCurve(knots);
   const auto snapshot = serving::PricingSnapshot::Compile(curve).value();
-  serving::SnapshotRegistry registry;
-  const serving::SnapshotRegistry::CurveSlot* slot =
+  serving::CatalogRegistry registry;
+  const serving::CatalogRegistry::CurveSlot* slot =
       registry.Publish("menu", curve).value();
 
   // Query streams: `queries` distinct xs for the cold regimes (spread over

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Chaos harness: runs the NetChaosTest suite (seeded fault schedules over
 # the full client/server serving path) under AddressSanitizer — on the
-# default epoll transport and then again on the uring and shm transports —
+# default epoll transport and then again on the shared-memory transport —
 # and under ThreadSanitizer (via scripts/tsan.sh), each with the suite's
 # fixed default seed plus the extra seeds given on the command line plus
 # one fresh randomized seed. Every run prints its seed; replay any
@@ -46,27 +46,22 @@ for seed in "${SEEDS[@]}"; do
   MBP_CHAOS_SEED="$seed" "$ROOT/scripts/tsan.sh" "$ROOT/build-tsan" "$FILTER"
 done
 
-echo "[chaos] === pass 3: alternate transports, uring + shm (asan) ==="
-# Same seeded suite, but with the shard loops on the io_uring backend and
-# then with clients over the shared-memory ring (MBP_CHAOS_TRANSPORT,
-# tests/net/chaos_test.cc). The fixture self-skips with a visible notice
-# when the kernel lacks the io_uring features, so this pass degrades to
-# shm-only on old kernels rather than failing.
-for transport in uring shm; do
-  for seed in "${SEEDS[@]}"; do
-    echo "[chaos] asan run, transport=$transport MBP_CHAOS_SEED=$seed"
-    MBP_CHAOS_TRANSPORT="$transport" MBP_CHAOS_SEED="$seed" \
-      "$ASAN_DIR/tests/mbp_net_test" --gtest_filter="$FILTER.*"
-  done
+echo "[chaos] === pass 3: shm transport (asan) ==="
+# Same seeded suite, but with clients over the shared-memory ring
+# (MBP_CHAOS_TRANSPORT, tests/net/chaos_test.cc).
+for seed in "${SEEDS[@]}"; do
+  echo "[chaos] asan run, transport=shm MBP_CHAOS_SEED=$seed"
+  MBP_CHAOS_TRANSPORT=shm MBP_CHAOS_SEED="$seed" \
+    "$ASAN_DIR/tests/mbp_net_test" --gtest_filter="$FILTER.*"
 done
 
 echo "[chaos] === pass 3b: fault-stormed purchase mix, every transport ==="
 # The BUY-verb chaos invariants (DESIGN.md §5i): under the same storm,
 # every completed sale must replay bit-identically and revenue must equal
 # the sum of DISTINCT recorded sales even though the retry ladder resends
-# BUYs. Runs the dedicated test on all three transports with the
+# BUYs. Runs the dedicated test on both transports with the
 # randomized seed (the fixed seeds already covered it inside passes 1/3).
-for transport in epoll uring shm; do
+for transport in epoll shm; do
   echo "[chaos] asan purchase-mix run, transport=$transport MBP_CHAOS_SEED=$RANDOM_SEED"
   MBP_CHAOS_TRANSPORT="$transport" MBP_CHAOS_SEED="$RANDOM_SEED" \
     "$ASAN_DIR/tests/mbp_net_test" \

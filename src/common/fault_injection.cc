@@ -9,19 +9,16 @@
 #include <shared_mutex>
 #include <thread>
 
+#include "common/hash.h"
+
 namespace mbp::fault {
 namespace {
 
-// FNV-1a-64 over the point name: the per-point PCG stream selector, so a
-// point's draw sequence is a pure function of (seed, name).
-uint64_t Fnv1a64(std::string_view s) {
-  uint64_t hash = 1469598103934665603ull;
-  for (const char c : s) {
-    hash ^= static_cast<uint8_t>(c);
-    hash *= 1099511628211ull;
-  }
-  return hash;
-}
+// FNV-1a-64 over the point name is the per-point PCG stream selector, so
+// a point's draw sequence is a pure function of (seed, name). The basis
+// is not FNV's standard one (a digit short); it is kept because every
+// recorded chaos seed replays through these exact streams.
+constexpr uint64_t kStreamBasis = 1469598103934665603ull;
 
 }  // namespace
 
@@ -63,7 +60,7 @@ void FaultInjector::Seed(uint64_t seed) {
 
 void FaultInjector::Arm(std::string_view point, PointSchedule schedule) {
   std::unique_lock lock(impl_->map_mutex);
-  const uint64_t stream = Fnv1a64(point);
+  const uint64_t stream = Fnv1a64(point, kStreamBasis);
   // Point holds a mutex (not assignable): re-arming replaces the node.
   const auto it = impl_->points.find(point);
   if (it != impl_->points.end()) impl_->points.erase(it);

@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "common/check.h"
+#include "common/hash.h"
 
 namespace mbp {
 namespace {
@@ -10,15 +11,6 @@ namespace {
 constexpr size_t kInitialCapacity = 64;
 
 }  // namespace
-
-uint32_t InternTable::Hash(std::string_view key) {
-  uint32_t h = 2166136261u;
-  for (const char c : key) {
-    h ^= static_cast<uint8_t>(c);
-    h *= 16777619u;
-  }
-  return h;
-}
 
 InternTable::Table* InternTable::NewTable(size_t capacity) {
   MBP_CHECK((capacity & (capacity - 1)) == 0);
@@ -56,7 +48,7 @@ InternTable::~InternTable() {
 }
 
 uint32_t InternTable::Find(std::string_view key) const {
-  const uint32_t h = Hash(key);
+  const uint32_t h = Fnv1a32(key);
   const Table* table = table_.load(std::memory_order_acquire);
   size_t i = static_cast<size_t>(h) & table->mask;
   while (true) {
@@ -116,7 +108,7 @@ uint32_t InternTable::Intern(std::string_view key) {
   }
   auto* entry = static_cast<Entry*>(
       arena_.Allocate(sizeof(Entry) + key.size(), alignof(Entry)));
-  entry->hash = Hash(key);
+  entry->hash = Fnv1a32(key);
   entry->ref = ref;
   entry->len = static_cast<uint32_t>(key.size());
   if (!key.empty()) {

@@ -38,7 +38,7 @@ namespace mbp {
 // Keys are arbitrary bytes: embedded NULs are significant and legal
 // (curve ids on the wire are length-prefixed, not NUL-terminated).
 //
-// Hashing is FNV-1a-32 — the same family the wire checksum uses. 32 bits
+// Hashing is Fnv1a32 (common/hash.h), the wire checksum's function. 32 bits
 // is deliberate: collisions are resolved by a byte compare anyway, and a
 // 32-bit space lets the test suite brute-force a real colliding pair in
 // ~2^16 birthday draws to pin the collision path.
@@ -66,10 +66,6 @@ class InternTable {
   // Number of distinct keys interned. Acquire load: every ref < size()
   // is safe to pass to KeyOf().
   size_t size() const { return size_.load(std::memory_order_acquire); }
-
-  // The hash function (FNV-1a-32), exposed so tests can construct
-  // colliding keys deliberately.
-  static uint32_t Hash(std::string_view key);
 
  private:
   struct Entry {

@@ -107,21 +107,15 @@ class LatencyHistogram {
   std::array<std::atomic<uint64_t>, kLatencyBuckets> buckets_{};
 };
 
-// Per-transport observability for the pluggable net backends (served via
+// Per-transport observability for the net backends (served via
 // the STATS verb; see net/transport.h). One block is shared by every
 // shard transport of a server, same as the other server metrics.
 struct TransportCounters {
   // Kernel crossings the transports themselves make (epoll_wait / recv /
-  // sendmsg / accept4 / epoll_ctl on the epoll backend, io_uring_enter
-  // on the uring backend, futex wait/wake on the shm backend). Dividing
-  // the delta by requests served is the syscalls-per-request figure
-  // bench_net records.
+  // sendmsg / accept4 / epoll_ctl on the epoll backend, futex wait/wake
+  // on the shm backend). Dividing the delta by requests served is the
+  // syscalls-per-request figure bench_net records.
   Counter transport_syscalls;
-  // A requested backend was unavailable at Start() and the server
-  // downgraded to epoll (uring on an old kernel, failed ring setup).
-  Counter transport_fallbacks;
-  // SQEs handed to the kernel across all io_uring_enter calls.
-  Counter uring_sqe_submitted;
   // FUTEX_WAKE calls issued because a shm-ring peer declared itself
   // asleep (the doorbell protocol's slow path; the spin path is free).
   Counter shm_doorbell_wakes;

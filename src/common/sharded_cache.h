@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/hash.h"
 
 namespace mbp {
 
@@ -21,16 +22,6 @@ constexpr uint64_t NextPowerOfTwo(uint64_t v) {
   v |= v >> 16;
   v |= v >> 32;
   return v + 1;
-}
-
-// splitmix64 finalizer: a cheap full-avalanche mix, so that keys differing
-// only in high bits (e.g. bit patterns of nearby doubles) still spread
-// across power-of-two shard/slot masks.
-inline uint64_t HashMix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
 }
 
 // A concurrent memoization cache sharded over power-of-two `Shard`s, each a

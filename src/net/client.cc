@@ -14,7 +14,7 @@
 #include <cstring>
 #include <thread>
 
-#include "common/sharded_cache.h"
+#include "common/hash.h"
 #include "net/fault_syscalls.h"
 #include "net/shm_ring.h"
 

@@ -3,6 +3,8 @@
 #include <bit>
 #include <cstring>
 
+#include "common/hash.h"
+
 namespace mbp::net {
 namespace {
 
@@ -13,15 +15,6 @@ constexpr uint8_t kMaxStatusCodeByte =
 // Wire bytes of a SaleRecordPayload: txn_id, curve_ref, delta, price,
 // seed_commitment.
 constexpr size_t kSaleRecordWireBytes = 8 + 4 + 8 + 8 + 8;
-
-uint32_t Fnv1a32(const uint8_t* data, size_t size) {
-  uint32_t hash = 2166136261u;
-  for (size_t i = 0; i < size; ++i) {
-    hash ^= data[i];
-    hash *= 16777619u;
-  }
-  return hash;
-}
 
 bool VerbCarriesVector(Verb verb) {
   return verb == Verb::kPriceAt || verb == Verb::kBudgetToX;
@@ -290,10 +283,10 @@ size_t EncodedResponseSize(const Response& response) {
       return kHeaderBytes + 3 * 8 + 2 * 8;
     case Verb::kStats: {
       const StatsPayload& s = response.stats;
-      // 19 v3 u64s, 7 per-verb counters, 7 fulfillment u64s, revenue f64,
+      // 17 v3 u64s, 7 per-verb counters, 7 fulfillment u64s, revenue f64,
       // 6 v5 durability u64s, 3 histograms, fault list.
       size_t size =
-          kHeaderBytes + 39 * 8 + 8 + 3 * kHistogramWireBytes + 1;
+          kHeaderBytes + 37 * 8 + 8 + 3 * kHistogramWireBytes + 1;
       const size_t num_faults = std::min<size_t>(s.faults.size(), 255);
       for (size_t i = 0; i < num_faults; ++i) {
         size += 1 + std::min<size_t>(s.faults[i].point.size(), 255) + 8;
@@ -382,9 +375,7 @@ size_t EncodeResponseInto(const Response& response, uint8_t* out) {
         w.U64(s.write_queue_peak_bytes);
         w.U64(s.catalog_listings);
         w.U64(s.catalog_bytes);
-        w.U64(s.transport_fallbacks);
         w.U64(s.transport_syscalls);
-        w.U64(s.uring_sqe_submitted);
         w.U64(s.shm_doorbell_wakes);
         // v4: per-verb counters (verb bytes 1..kNumVerbSlots-1; slot 0 is
         // unused so the wire never carries it), then fulfillment stats.
@@ -653,9 +644,7 @@ StatusOr<size_t> DecodeResponse(const uint8_t* data, size_t size,
         MBP_RETURN_IF_ERROR(reader.U64(&s.write_queue_peak_bytes));
         MBP_RETURN_IF_ERROR(reader.U64(&s.catalog_listings));
         MBP_RETURN_IF_ERROR(reader.U64(&s.catalog_bytes));
-        MBP_RETURN_IF_ERROR(reader.U64(&s.transport_fallbacks));
         MBP_RETURN_IF_ERROR(reader.U64(&s.transport_syscalls));
-        MBP_RETURN_IF_ERROR(reader.U64(&s.uring_sqe_submitted));
         MBP_RETURN_IF_ERROR(reader.U64(&s.shm_doorbell_wakes));
         for (size_t v = 1; v < kNumVerbSlots; ++v) {
           MBP_RETURN_IF_ERROR(reader.U64(&s.requests_by_verb[v]));

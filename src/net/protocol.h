@@ -48,15 +48,17 @@ namespace mbp::net {
 
 // v2 appended catalog_listings / catalog_bytes to the STATS payload (the
 // multi-tenant catalog's memory-accounting surface, DESIGN.md §5g); v3
-// appended the per-transport counters (fallbacks, syscalls, io_uring
-// SQEs, shm doorbell wakes — DESIGN.md §5h); v4 added the fulfillment
-// verbs QUOTE/BUY/REPLAY with their multi-KB model payloads and appended
-// the per-verb request counters + fulfillment block to STATS (DESIGN.md
-// §5i); v5 appended the durability block (WAL append/fsync/byte counters
-// and what the last recovery found — DESIGN.md §5j). The version byte is
-// checked for exact equality on both sides, so mismatched processes
-// refuse each other's frames instead of misparsing them.
-inline constexpr uint8_t kProtocolVersion = 5;
+// appended the per-transport counters (DESIGN.md §5h); v4 added the
+// fulfillment verbs QUOTE/BUY/REPLAY with their multi-KB model payloads
+// and appended the per-verb request counters + fulfillment block to
+// STATS (DESIGN.md §5i); v5 appended the durability block (WAL append/
+// fsync/byte counters and what the last recovery found — DESIGN.md §5j);
+// v6 dropped the backend-fallback and submission-queue counters along
+// with the second TCP backend that alone produced them, leaving
+// transport_syscalls and shm_doorbell_wakes. The version byte is checked
+// for exact equality on both sides, so mismatched processes refuse each
+// other's frames instead of misparsing them.
+inline constexpr uint8_t kProtocolVersion = 6;
 inline constexpr size_t kHeaderBytes = 20;
 // Hard cap on a whole frame (header + payload): bounds every per-
 // connection buffer and rejects absurd length prefixes before allocating.
@@ -189,12 +191,8 @@ struct StatsPayload {
   // is invisible at the protocol layer, so these are how operators and
   // the bench observe it. transport_syscalls counts every kernel
   // crossing the transports make (the bench's syscalls-per-request
-  // numerator); uring_sqe_submitted and shm_doorbell_wakes are the
-  // backend-specific activity gauges; transport_fallbacks counts
-  // requested-but-unavailable downgrades (uring -> epoll).
-  uint64_t transport_fallbacks = 0;
+  // numerator); shm_doorbell_wakes is the shm backend's activity gauge.
   uint64_t transport_syscalls = 0;
-  uint64_t uring_sqe_submitted = 0;
   uint64_t shm_doorbell_wakes = 0;
   // Per-verb request counts, indexed by the raw verb byte (entry 0
   // unused). Counts every decoded request, shed or served — the verb mix

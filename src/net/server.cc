@@ -14,6 +14,7 @@
 #include "common/arena.h"
 #include "common/check.h"
 #include "common/fault_injection.h"
+#include "common/hash.h"
 #include "net/shm_ring.h"
 #include "net/transport.h"
 
@@ -81,7 +82,7 @@ struct PriceServer::Connection {
   }
 };
 
-// One event-loop shard: a transport (epoll, io_uring, or shm slots), a
+// One event-loop shard: a transport (epoll or shm slots), a
 // private connection table, a pass-scoped scratch arena, and the
 // micro-batch under construction during the current loop pass.
 struct PriceServer::Shard {
@@ -191,37 +192,12 @@ StatusOr<std::unique_ptr<PriceServer>> PriceServer::Start(
   std::unique_ptr<PriceServer> server(
       new PriceServer(engine, std::move(options)));
   MBP_RETURN_IF_ERROR(server->Listen());
-  TransportKind tcp_kind = server->options_.transport;
-  if (tcp_kind == TransportKind::kShm) {
-    return InvalidArgumentError(
-        "ServerOptions.transport selects the TCP backend (epoll or uring); "
-        "the shm transport is enabled by ServerOptions.shm_path");
-  }
-  // Runtime downgrade, rung 1: the kernel lacks what the uring backend
-  // needs. Counted so operators can see a fleet silently running epoll.
-  if (tcp_kind == TransportKind::kUring && !UringAvailable()) {
-    tcp_kind = TransportKind::kEpoll;
-    server->metrics_.transport.transport_fallbacks.Increment();
-  }
   for (size_t s = 0; s < server->options_.num_shards; ++s) {
     auto shard = std::make_unique<Shard>();
     shard->index = s;
     Status status;
-    if (tcp_kind == TransportKind::kUring) {
-      shard->transport = MakeUringShardTransport(
-          server->listen_fd_, &server->metrics_.transport, &status);
-      if (shard->transport == nullptr) {
-        // Rung 2: the probe passed but this ring's setup failed (e.g.
-        // locked-memory limits). Downgrade instead of dying — every
-        // remaining shard then builds epoll too.
-        tcp_kind = TransportKind::kEpoll;
-        server->metrics_.transport.transport_fallbacks.Increment();
-      }
-    }
-    if (shard->transport == nullptr) {
-      shard->transport = MakeEpollShardTransport(
-          server->listen_fd_, &server->metrics_.transport, &status);
-    }
+    shard->transport = MakeEpollShardTransport(
+        server->listen_fd_, &server->metrics_.transport, &status);
     if (shard->transport == nullptr) return status;
     server->shards_.push_back(std::move(shard));
   }
@@ -333,9 +309,7 @@ StatsPayload PriceServer::stats() const {
   }
   s.catalog_listings = engine_->registry().resident_listings();
   s.catalog_bytes = engine_->registry().resident_bytes();
-  s.transport_fallbacks = metrics_.transport.transport_fallbacks.Value();
   s.transport_syscalls = metrics_.transport.transport_syscalls.Value();
-  s.uring_sqe_submitted = metrics_.transport.uring_sqe_submitted.Value();
   s.shm_doorbell_wakes = metrics_.transport.shm_doorbell_wakes.Value();
   s.latency = metrics_.request_latency.Snapshot();
   s.write_queue_bytes = metrics_.write_queue_bytes.Snapshot();
@@ -402,9 +376,6 @@ void PriceServer::ShardLoop(Shard* shard) {
       FinishPass(shard, conn);
     }
     shard->touched.clear();
-    // Transport epilogue: io_uring recycles provided buffers and queues
-    // recv re-arms (flushed by the next Wait's single enter).
-    shard->transport->EndPass();
     // Every pass-scoped staging allocation (recv buffers, decoded args,
     // batch queries and outputs) dies here, in one bump-pointer rewind.
     shard->scratch.Reset();
@@ -924,9 +895,7 @@ void PriceServer::DrainShard(Shard* shard) {
   while (Clock::now() < deadline) {
     bool pending = false;
     for (const auto& conn : shard->conns) {
-      if (!conn->dead &&
-          (conn->pending_out() > 0 ||
-           shard->transport->Unflushed(conn->tconn) > 0)) {
+      if (!conn->dead && conn->pending_out() > 0) {
         pending = true;
         break;
       }
@@ -956,7 +925,6 @@ void PriceServer::DrainShard(Shard* shard) {
           break;  // handled above
       }
     }
-    shard->transport->EndPass();
     shard->scratch.Reset();
   }
   // Past the drain deadline: connections still holding undeliverable
@@ -964,8 +932,7 @@ void PriceServer::DrainShard(Shard* shard) {
   // close.
   for (auto& conn : shard->conns) {
     if (conn->dead) continue;
-    if (conn->pending_out() > 0 ||
-        shard->transport->Unflushed(conn->tconn) > 0) {
+    if (conn->pending_out() > 0) {
       KillConnection(shard, conn.get());
     } else {
       CloseConnection(shard, conn.get());

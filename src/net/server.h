@@ -88,19 +88,12 @@ struct ServerOptions {
   // connections that cannot drain.
   int drain_timeout_ms = 5000;
 
-  // --- Transport selection (DESIGN.md §5h) ----------------------------
-  // Backend for the TCP shard loops. kUring needs kernel io_uring
-  // support (multishot accept/recv, provided-buffer rings); when the
-  // probe fails at Start() the server falls back to epoll and counts it
-  // in transport_fallbacks. kShm here is invalid — the shared-memory
-  // transport is not a TCP backend; it is enabled by shm_path below and
-  // serves shm:// clients alongside whichever TCP backend runs.
-  TransportKind transport = TransportKind::kEpoll;
-
-  // When non-empty, additionally serve co-located clients through a
-  // file-backed shared-memory segment created at this path (clients
-  // connect with a "shm://<path>" endpoint). The TCP listener stays up
-  // regardless; shm connections are served by dedicated shard threads.
+  // --- Shared-memory transport (DESIGN.md §5h) -----------------------
+  // TCP shards always run the epoll backend. When shm_path is non-empty,
+  // co-located clients are additionally served through a file-backed
+  // shared-memory segment created at this path (clients connect with a
+  // "shm://<path>" endpoint). The TCP listener stays up regardless; shm
+  // connections are served by dedicated shard threads.
   std::string shm_path;
   // Connection slots in the segment (max concurrent shm clients).
   size_t shm_slots = 32;
@@ -116,7 +109,7 @@ struct ServerOptions {
   serving::FulfillmentEngine* fulfillment = nullptr;
 };
 
-// TCP (epoll or io_uring) + optional shared-memory front end over the
+// TCP (epoll) + optional shared-memory front end over the
 // lock-free PriceQueryEngine: the subsystem that serves the whole stack
 // end to end across a transport (DESIGN.md §5d, §5h). Frames are the
 // binary protocol of net/protocol.h; any

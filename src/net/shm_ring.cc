@@ -307,8 +307,6 @@ class ShmShardTransport final : public ShardTransport {
     for (ShmConn* conn : conns_) delete conn;
   }
 
-  TransportKind kind() const override { return TransportKind::kShm; }
-
   void Wait(std::vector<TransportEvent>* events, Arena* scratch,
             int timeout_ms) override {
     const auto deadline = Clock::now() + std::chrono::milliseconds(timeout_ms);
@@ -434,8 +432,6 @@ class ShmShardTransport final : public ShardTransport {
   void Wake() override {
     segment_->RingDoorbell(&counters_->transport_syscalls, nullptr);
   }
-
-  void EndPass() override {}
 
  private:
   struct PendingReclaim {

@@ -21,8 +21,6 @@ const char* TransportKindName(TransportKind kind) {
   switch (kind) {
     case TransportKind::kEpoll:
       return "epoll";
-    case TransportKind::kUring:
-      return "uring";
     case TransportKind::kShm:
       return "shm";
   }
@@ -32,8 +30,6 @@ const char* TransportKindName(TransportKind kind) {
 bool ParseTransportKind(std::string_view name, TransportKind* out) {
   if (name == "epoll") {
     *out = TransportKind::kEpoll;
-  } else if (name == "uring" || name == "io_uring") {
-    *out = TransportKind::kUring;
   } else if (name == "shm") {
     *out = TransportKind::kShm;
   } else {
@@ -101,8 +97,6 @@ class EpollShardTransport final : public ShardTransport {
     }
     return Status::OK();
   }
-
-  TransportKind kind() const override { return TransportKind::kEpoll; }
 
   void Wait(std::vector<TransportEvent>* events, Arena* scratch,
             int timeout_ms) override {
@@ -211,8 +205,6 @@ class EpollShardTransport final : public ShardTransport {
     const uint64_t one = 1;
     (void)!write(wake_fd_, &one, sizeof(one));
   }
-
-  void EndPass() override {}
 
  private:
   void AcceptReady(std::vector<TransportEvent>* events) {

@@ -19,23 +19,21 @@
 // encode, flush, reset. Everything kernel-facing in that cycle — how
 // readiness is learned, how bytes arrive, how flushed frames leave —
 // lives behind ShardTransport, so the same loop runs over epoll
-// (readiness + one sized recv per event), io_uring (completions,
-// multishot accept/recv into provided buffers, one submit_and_wait per
-// pass), or a shared-memory ring (no sockets at all; futex doorbells).
+// (readiness + one sized recv per event) for TCP clients, or over a
+// shared-memory ring (no sockets at all; futex doorbells) for co-located
+// ones.
 //
 // Contract highlights:
 //  - One transport per shard thread. Every method except Wake() is
 //    called only from that thread; Wake() may be called from any thread
 //    and must interrupt a blocked Wait().
 //  - Wait() appends events. Payload bytes delivered via kData live until
-//    the end of the current pass (they are either staged in `scratch` or
-//    in transport-owned buffers recycled no earlier than EndPass()).
+//    the end of the current pass (they are staged in `scratch`).
 //  - kAccept delivers a fresh TransportConn the server must either
 //    Adopt() (start I/O) or Refuse() (destroy unserved) before the pass
 //    ends. For every other event, `conn->user` is whatever the server
 //    stored there at adoption time.
-//  - Writev() has writev semantics: returns bytes accepted (the
-//    transport may copy and complete them asynchronously, but once
+//  - Writev() has writev semantics: returns bytes accepted (once
 //    accepted they WILL be delivered in order or the connection will
 //    error), or -1 with errno == EAGAIN when the peer/queue can take
 //    nothing now. Accepted-byte counts are what the server's
@@ -49,24 +47,15 @@
 //    The split preserves the fd-reuse invariant: the descriptor number
 //    stays allocated until the dead map entry is gone, so a same-pass
 //    accept can never collide with a dying connection.
-//  - EndPass() runs once per pass after all flushes: io_uring recycles
-//    provided buffers and queues re-arms there (submitted by the next
-//    Wait's single io_uring_enter); epoll and shm treat it as a no-op.
 
 namespace mbp::net {
 
-enum class TransportKind : uint8_t { kEpoll = 0, kUring = 1, kShm = 2 };
+// The two backends by name, for bench and test command lines. TCP shards
+// always run epoll; shm serves next to them (ServerOptions::shm_path).
+enum class TransportKind : uint8_t { kEpoll = 0, kShm = 1 };
 
 const char* TransportKindName(TransportKind kind);
 bool ParseTransportKind(std::string_view name, TransportKind* out);
-
-// True when the running kernel supports everything the io_uring backend
-// needs (multishot accept/recv, provided-buffer rings, EXT_ARG timed
-// waits), established once by a functional probe and cached. The
-// MBP_FORCE_NO_URING=1 environment variable forces false — the hook the
-// fallback tests and chaos harness use to exercise the epoll downgrade
-// on kernels that do have io_uring.
-bool UringAvailable();
 
 // Opaque per-connection transport handle. The transport allocates one
 // per connection (delivered by kAccept) and owns its lifetime through
@@ -93,9 +82,7 @@ class ShardTransport {
  public:
   virtual ~ShardTransport() = default;
 
-  virtual TransportKind kind() const = 0;
-
-  // One readiness/completion wait, at most `timeout_ms` blocked. Appends
+  // One readiness wait, at most `timeout_ms` blocked. Appends
   // any number of events (possibly zero: timeout, EINTR, wake).
   virtual void Wait(std::vector<TransportEvent>* events, Arena* scratch,
                     int timeout_ms) = 0;
@@ -107,15 +94,6 @@ class ShardTransport {
 
   virtual ssize_t Writev(TransportConn* conn, const iovec* iov,
                          int iov_count) = 0;
-
-  // Bytes Writev() accepted but not yet handed to the kernel/peer.
-  // Asynchronous backends (io_uring) report their internal send buffer
-  // here so the graceful-drain loop keeps pumping until delivery;
-  // synchronous backends are always 0.
-  virtual size_t Unflushed(TransportConn* conn) const {
-    (void)conn;
-    return 0;
-  }
 
   virtual void UpdateInterest(TransportConn* conn, bool want_read,
                               bool want_write) = 0;
@@ -129,16 +107,11 @@ class ShardTransport {
 
   // Thread-safe: interrupt a blocked Wait().
   virtual void Wake() = 0;
-
-  // Per-pass epilogue; see file comment.
-  virtual void EndPass() = 0;
 };
 
 // Factories. On failure they return nullptr and set *status. `counters`
 // must outlive the transport (the server's metrics block).
 std::unique_ptr<ShardTransport> MakeEpollShardTransport(
-    int listen_fd, TransportCounters* counters, Status* status);
-std::unique_ptr<ShardTransport> MakeUringShardTransport(
     int listen_fd, TransportCounters* counters, Status* status);
 
 }  // namespace mbp::net

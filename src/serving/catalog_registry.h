@@ -30,9 +30,9 @@ struct CatalogRegistryOptions {
   size_t max_resident_listings = 0;
 };
 
-// Marketplace-scale successor of the PR-2 SnapshotRegistry (the old name
-// remains as an alias): maps curve ids to published PricingSnapshots for
-// catalogs of 100k+ listings (DESIGN.md §5g).
+// Marketplace-scale successor of the original single-mutex snapshot
+// registry: maps curve ids to published PricingSnapshots for catalogs of
+// 100k+ listings (DESIGN.md §5g).
 //
 // What changed versus the single-mutex registry:
 //  - Ids are interned into dense CurveRefs (common/intern_table.h), so

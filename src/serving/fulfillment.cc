@@ -5,24 +5,13 @@
 #include <cstring>
 #include <utility>
 
-#include "common/sharded_cache.h"
+#include "common/hash.h"
 #include "core/mechanism.h"
 #include "ml/trainer.h"
 #include "random/rng.h"
 
 namespace mbp::serving {
 namespace {
-
-// FNV-1a 64 over the curve id bytes: the cross-process-stable key hash the
-// synthetic-training-set seed derives from (std::hash is not portable).
-uint64_t Fnv1a64(std::string_view bytes) {
-  uint64_t hash = 14695981039346656037ull;
-  for (const char c : bytes) {
-    hash ^= static_cast<uint8_t>(c);
-    hash *= 1099511628211ull;
-  }
-  return hash;
-}
 
 // Little-endian scalar append/read for the durable-record codecs.
 template <typename T>
@@ -130,6 +119,7 @@ data::Simulated1Options FulfillmentEngine::TrainingSetOptionsFor(
                           ? options_.training_examples
                           : 8 * options_.model_dim;
   opts.noise_stddev = 0.1;
+  // FNV-1a, not std::hash: every replica must derive the same training set.
   opts.seed = HashMix64(options_.dataset_seed ^ Fnv1a64(curve_key));
   return opts;
 }

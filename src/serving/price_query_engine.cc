@@ -20,7 +20,7 @@ Status CurveNotServing() {
 // pays that cost once per (thread, publish) instead of once per query.
 //
 // Why the stamp check is sufficient: a stamp value is allocated process-
-// globally and never reused (see snapshot_registry.cc), and it is stored
+// globally and never reused (see catalog_registry.cc), and it is stored
 // seq_cst AFTER the snapshot, so once the caller has observed stamp S the
 // slot already holds the snapshot published with S — or a newer one, which
 // the documented racing-republish semantics allow. At quiescence the stamp

@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/hash.h"
+
 namespace mbp {
 namespace {
 
@@ -101,7 +103,7 @@ TEST(InternTableTest, RealFnvCollisionsResolveByByteCompare) {
   std::string a, b;
   for (size_t i = 0; i < 500000; ++i) {
     std::string key = "collide-" + std::to_string(i);
-    const uint32_t h = InternTable::Hash(key);
+    const uint32_t h = Fnv1a32(key);
     const auto it = seen.find(h);
     if (it != seen.end()) {
       a = it->second;
@@ -111,7 +113,7 @@ TEST(InternTableTest, RealFnvCollisionsResolveByByteCompare) {
     seen.emplace(h, std::move(key));
   }
   ASSERT_FALSE(b.empty()) << "no FNV-1a-32 collision within 500k draws";
-  ASSERT_EQ(InternTable::Hash(a), InternTable::Hash(b));
+  ASSERT_EQ(Fnv1a32(a), Fnv1a32(b));
   ASSERT_NE(a, b);
 
   InternTable table;

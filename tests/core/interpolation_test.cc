@@ -1,6 +1,7 @@
 #include "core/interpolation.h"
 
 #include <cmath>
+#include <ostream>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -45,10 +46,23 @@ StatusOr<InterpolationResult> SquaredDefault(
   return InterpolateSquaredLoss(points);
 }
 
-class InterpolationSolverTest : public ::testing::TestWithParam<SolverFn> {};
+// A solver with a printable name. gtest names each instantiation after the
+// printed parameter, and a bare function pointer prints as its address,
+// which moves with every build.
+struct NamedSolver {
+  const char* name;
+  SolverFn solve;
+};
+
+void PrintTo(const NamedSolver& solver, std::ostream* os) {
+  *os << solver.name;
+}
+
+class InterpolationSolverTest : public ::testing::TestWithParam<NamedSolver> {
+};
 
 TEST_P(InterpolationSolverTest, FeasibleTargetsAreReproducedExactly) {
-  auto result = GetParam()(ConcaveTargets());
+  auto result = GetParam().solve(ConcaveTargets());
   ASSERT_TRUE(result.ok()) << result.status();
   for (size_t j = 0; j < 4; ++j) {
     EXPECT_NEAR(result->prices[j], ConcaveTargets()[j].target_price, 1e-5);
@@ -64,7 +78,7 @@ TEST_P(InterpolationSolverTest, OutputIsAlwaysFeasible) {
     for (size_t j = 0; j < n; ++j) {
       points[j] = {static_cast<double>(j + 1), rng.NextDouble(0.0, 100.0)};
     }
-    auto result = GetParam()(points);
+    auto result = GetParam().solve(points);
     ASSERT_TRUE(result.ok());
     EXPECT_TRUE(RelaxedFeasible(points, result->prices)) << "trial "
                                                          << trial;
@@ -72,14 +86,16 @@ TEST_P(InterpolationSolverTest, OutputIsAlwaysFeasible) {
 }
 
 TEST_P(InterpolationSolverTest, RejectsInvalidInputs) {
-  EXPECT_FALSE(GetParam()({}).ok());
-  EXPECT_FALSE(GetParam()({{1.0, 5.0}, {1.0, 6.0}}).ok());  // duplicate a
-  EXPECT_FALSE(GetParam()({{1.0, -5.0}}).ok());             // negative P
+  const SolverFn solve = GetParam().solve;
+  EXPECT_FALSE(solve({}).ok());
+  EXPECT_FALSE(solve({{1.0, 5.0}, {1.0, 6.0}}).ok());  // duplicate a
+  EXPECT_FALSE(solve({{1.0, -5.0}}).ok());             // negative P
 }
 
-INSTANTIATE_TEST_SUITE_P(Solvers, InterpolationSolverTest,
-                         ::testing::Values(&SquaredDefault,
-                                           &InterpolateAbsoluteLoss));
+INSTANTIATE_TEST_SUITE_P(
+    Solvers, InterpolationSolverTest,
+    ::testing::Values(NamedSolver{"squared", &SquaredDefault},
+                      NamedSolver{"absolute", &InterpolateAbsoluteLoss}));
 
 TEST(SquaredLossInterpolationTest, ProjectsConvexTargets) {
   auto result = InterpolateSquaredLoss(ConvexTargets());

@@ -19,14 +19,12 @@
 // run, so any failure reproduces with MBP_CHAOS_SEED=<seed>. Suite name
 // matches scripts/tsan.sh's Net filter.
 //
-// Transport regimes: MBP_CHAOS_TRANSPORT={epoll,uring,shm} (default
-// epoll) reruns the whole suite with the server on that backend and the
-// PriceClient connecting over TCP or the shm:// ring accordingly —
-// scripts/chaos.sh pass 4 drives this. `uring` self-skips (visibly)
-// when the kernel fails the io_uring probe. Tests that open raw TCP
-// sockets below PriceClient keep doing so under shm; the TCP listener
-// stays up next to the segment, so they chaos the epoll path of the
-// same server.
+// Transport regimes: MBP_CHAOS_TRANSPORT={epoll,shm} (default epoll)
+// reruns the whole suite with the PriceClient connecting over TCP or the
+// shm:// ring accordingly — scripts/chaos.sh passes 3 and 3b drive
+// this. Tests that open raw TCP sockets below PriceClient keep doing so
+// under shm; the TCP listener stays up next to the segment, so they
+// chaos the epoll path of the same server.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -51,16 +49,16 @@
 #include "net/client.h"
 #include "net/protocol.h"
 #include "net/server.h"
+#include "serving/catalog_registry.h"
 #include "serving/fulfillment.h"
 #include "serving/price_query_engine.h"
-#include "serving/snapshot_registry.h"
 
 namespace mbp::net {
 namespace {
 
 using core::PiecewiseLinearPricing;
+using serving::CatalogRegistry;
 using serving::PriceQueryEngine;
-using serving::SnapshotRegistry;
 
 // Same arbitrage-free family as net_integration_test.cc.
 PiecewiseLinearPricing MakeVariant(size_t k) {
@@ -91,10 +89,8 @@ class NetChaosTest : public ::testing::Test {
       GTEST_SKIP() << "built with MBP_FAULT_INJECTION=OFF";
     }
     transport_ = ChaosTransport();
-    if (transport_ == "uring" && !UringAvailable()) {
-      GTEST_SKIP() << "MBP_CHAOS_TRANSPORT=uring: io_uring unavailable on "
-                      "this kernel, skipping";
-    }
+    ASSERT_TRUE(transport_ == "epoll" || transport_ == "shm")
+        << "MBP_CHAOS_TRANSPORT=" << transport_ << ": expected epoll or shm";
     fault::FaultInjector::Global().Reset();
     seed_ = ChaosSeed();
     fault::FaultInjector::Global().Seed(seed_);
@@ -116,9 +112,7 @@ class NetChaosTest : public ::testing::Test {
     options.port = 0;
     options.default_curve_id = "pricing";
     options.fulfillment = fulfillment_.get();
-    if (transport_ == "uring") {
-      options.transport = TransportKind::kUring;
-    } else if (transport_ == "shm") {
+    if (transport_ == "shm") {
       shm_path_ = "/tmp/mbp_chaos_" + std::to_string(getpid()) + ".shm";
       options.shm_path = shm_path_;
       options.shm_slots = 16;
@@ -138,8 +132,8 @@ class NetChaosTest : public ::testing::Test {
   uint64_t seed_ = 0;
   std::string transport_;
   std::string shm_path_;
-  SnapshotRegistry registry_;
-  const SnapshotRegistry::CurveSlot* slot_ = nullptr;
+  CatalogRegistry registry_;
+  const CatalogRegistry::CurveSlot* slot_ = nullptr;
   std::unique_ptr<PriceQueryEngine> engine_;
   std::unique_ptr<serving::FulfillmentEngine> fulfillment_;
   std::unique_ptr<PriceServer> server_;
@@ -176,9 +170,6 @@ TEST_F(NetChaosTest, TenThousandRequestsUnderSeededFaultSchedule) {
   inj.Arm("net.server.conn_alloc", refuse);
   // Transport-specific points: armed unconditionally (a point the
   // selected backend never reaches simply never fires).
-  inj.Arm("net.uring.enter.eintr", transient);
-  inj.Arm("net.uring.recv.short", shortio);
-  inj.Arm("net.uring.send.short", shortio);
   inj.Arm("net.shm.read.short", shortio);
   inj.Arm("net.shm.write.short", shortio);
   inj.Arm("net.shm.futex.eintr", transient);
@@ -539,9 +530,6 @@ TEST_F(NetChaosTest, PurchaseMixUnderFaultStormReplaysAndChargesOnce) {
   shortio.probability = 0.2;
   inj.Arm("net.recv.short", shortio);
   inj.Arm("net.send.short", shortio);
-  inj.Arm("net.uring.enter.eintr", transient);
-  inj.Arm("net.uring.recv.short", shortio);
-  inj.Arm("net.uring.send.short", shortio);
   inj.Arm("net.shm.read.short", shortio);
   inj.Arm("net.shm.write.short", shortio);
   inj.Arm("net.shm.futex.eintr", transient);

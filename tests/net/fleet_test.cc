@@ -3,13 +3,16 @@
 // definitions), route to it with ClusterPriceClient, and hold the
 // cross-process bit-identity contract — including while one shard is
 // fault-stormed (the pass scripts/chaos.sh runs, honoring
-// MBP_CHAOS_SEED) and in ring-partitioned mode.
+// MBP_CHAOS_SEED) and in ring-partitioned mode. Also drives the shard
+// binary's command line directly where a flag's contract is process-level
+// (exit code and stderr).
 
 #include <poll.h>
 #include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
@@ -230,6 +233,35 @@ TEST(NetFleetTest, PartitionedFleetServesWholeCatalogBitIdentically) {
   }
   EXPECT_EQ(total_resident, spec.num_curves * 2)
       << "replicas=2 means every curve is resident on exactly 2 shards";
+}
+
+// Runs the shard binary with `args`, stdin at EOF (READY is followed by an
+// immediate graceful drain) and stderr folded into the captured output.
+// Returns the exit code, or -1 when the process did not exit normally.
+int RunShard(const std::string& args, std::string* output) {
+  const std::string cmd =
+      std::string(MBP_SHARD_PATH) + " " + args + " </dev/null 2>&1";
+  FILE* pipe = popen(cmd.c_str(), "r");
+  if (pipe == nullptr) return -1;
+  char buf[512];
+  size_t n;
+  while ((n = fread(buf, 1, sizeof(buf), pipe)) > 0) output->append(buf, n);
+  const int status = pclose(pipe);
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+// epoll is the only TCP shard-loop transport. Any other --transport value
+// (including the removed second backend's name) must fail loudly, naming
+// the accepted value, instead of silently serving on epoll.
+TEST(CatalogShardCliTest, TransportFlagAcceptsOnlyEpoll) {
+  std::string refused;
+  EXPECT_NE(RunShard("--curves=4 --transport=uring", &refused), 0);
+  EXPECT_NE(refused.find("epoll"), std::string::npos) << refused;
+  EXPECT_EQ(refused.find("READY"), std::string::npos) << refused;
+
+  std::string served;
+  EXPECT_EQ(RunShard("--curves=4 --transport=epoll", &served), 0) << served;
+  EXPECT_NE(served.find("READY port="), std::string::npos) << served;
 }
 
 }  // namespace

@@ -24,15 +24,15 @@
 #include "net/protocol.h"
 #include "net/server.h"
 #include "random/rng.h"
+#include "serving/catalog_registry.h"
 #include "serving/price_query_engine.h"
-#include "serving/snapshot_registry.h"
 
 namespace mbp::net {
 namespace {
 
 using core::PiecewiseLinearPricing;
+using serving::CatalogRegistry;
 using serving::PriceQueryEngine;
-using serving::SnapshotRegistry;
 
 // Same arbitrage-free family as serving_stress_test.cc: variant k scales
 // a fixed shape by (k + 1), so exact expected prices are precomputable.
@@ -84,8 +84,8 @@ class NetServerTest : public ::testing::Test {
     return client.ok() ? std::move(*client) : nullptr;
   }
 
-  SnapshotRegistry registry_;
-  const SnapshotRegistry::CurveSlot* slot_ = nullptr;
+  CatalogRegistry registry_;
+  const CatalogRegistry::CurveSlot* slot_ = nullptr;
   std::unique_ptr<PriceQueryEngine> engine_;
   std::unique_ptr<PriceServer> server_;
 };
@@ -388,7 +388,7 @@ TEST(NetStressTest, ConcurrentClientsBitIdenticalUnderRepublish) {
     }
   }
 
-  SnapshotRegistry registry;
+  CatalogRegistry registry;
   ASSERT_TRUE(registry.Publish("stress", variants[0]).ok());
   PriceQueryEngine engine(&registry);
   ServerOptions options;
@@ -463,7 +463,7 @@ TEST(NetStressTest, ConcurrentClientsBitIdenticalUnderRepublish) {
   // Quiescent: remote and direct answers are bit-identical.
   auto client = PriceClient::Connect("127.0.0.1", port);
   ASSERT_TRUE(client.ok());
-  const SnapshotRegistry::CurveSlot* slot = registry.Find("stress");
+  const CatalogRegistry::CurveSlot* slot = registry.Find("stress");
   ASSERT_NE(slot, nullptr);
   for (size_t i = 0; i < kQueryPoints; ++i) {
     const auto remote = (*client)->PriceAt("stress", xs[i]);

@@ -1,11 +1,8 @@
 // Transport-seam tests (DESIGN.md §5h): the same PriceServer loop over
-// epoll, io_uring, and the shared-memory ring must be observationally
-// identical — bit-identical prices, identical framing semantics under
-// arbitrary byte-boundary splits, and a clean runtime downgrade when
-// io_uring is unavailable. Suites carry the ctest label "transport"
-// (registered in tests/CMakeLists.txt); io_uring cases GTEST_SKIP on
-// kernels where UringAvailable() is false, so the whole file passes on
-// any host.
+// epoll and the shared-memory ring must be observationally identical —
+// bit-identical prices and identical framing semantics under arbitrary
+// byte-boundary splits. Suites carry the ctest label "transport"
+// (registered in tests/CMakeLists.txt).
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -14,7 +11,6 @@
 
 #include <atomic>
 #include <bit>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -30,16 +26,16 @@
 #include "net/server.h"
 #include "net/shm_ring.h"
 #include "net/transport.h"
+#include "serving/catalog_registry.h"
 #include "serving/fulfillment.h"
 #include "serving/price_query_engine.h"
-#include "serving/snapshot_registry.h"
 
 namespace mbp::net {
 namespace {
 
 using core::PiecewiseLinearPricing;
+using serving::CatalogRegistry;
 using serving::PriceQueryEngine;
-using serving::SnapshotRegistry;
 
 PiecewiseLinearPricing MakeCurve() {
   return PiecewiseLinearPricing::Create(
@@ -209,9 +205,6 @@ class TransportLoopbackTest : public ::testing::TestWithParam<const char*> {
  protected:
   void SetUp() override {
     const std::string regime = GetParam();
-    if (regime == "uring" && !UringAvailable()) {
-      GTEST_SKIP() << "io_uring unavailable on this kernel";
-    }
     auto published = registry_.Publish("pricing", MakeCurve());
     ASSERT_TRUE(published.ok());
     slot_ = *published;
@@ -222,7 +215,6 @@ class TransportLoopbackTest : public ::testing::TestWithParam<const char*> {
     options.num_shards = 2;
     options.default_curve_id = "pricing";
     options.fulfillment = fulfillment_.get();
-    if (regime == "uring") options.transport = TransportKind::kUring;
     if (regime == "shm") {
       shm_path_ = UniqueShmPath();
       options.shm_path = shm_path_;
@@ -252,8 +244,8 @@ class TransportLoopbackTest : public ::testing::TestWithParam<const char*> {
     return conn;
   }
 
-  SnapshotRegistry registry_;
-  const SnapshotRegistry::CurveSlot* slot_ = nullptr;
+  CatalogRegistry registry_;
+  const CatalogRegistry::CurveSlot* slot_ = nullptr;
   std::unique_ptr<PriceQueryEngine> engine_;
   std::unique_ptr<serving::FulfillmentEngine> fulfillment_;
   std::unique_ptr<PriceServer> server_;
@@ -347,13 +339,8 @@ TEST_P(TransportLoopbackTest, StatsExposePerTransportCounters) {
   const auto stats = client->Stats();
   ASSERT_TRUE(stats.ok()) << stats.status();
   EXPECT_GT(stats->transport_syscalls, 0u);
-  if (regime == "uring") {
-    EXPECT_GT(stats->uring_sqe_submitted, 0u);
-    EXPECT_EQ(stats->transport_fallbacks, 0u);
-  }
   if (regime == "epoll") {
-    EXPECT_EQ(stats->uring_sqe_submitted, 0u);
-    EXPECT_EQ(stats->transport_fallbacks, 0u);
+    EXPECT_EQ(stats->shm_doorbell_wakes, 0u);
   }
   if (regime == "shm") {
     EXPECT_GT(stats->shm_doorbell_wakes, 0u);
@@ -432,8 +419,6 @@ TEST_P(TransportLoopbackTest, LargeFramesReassembleAcrossBufferBoundaries) {
     shortio.probability = 0.5;
     inj.Arm("net.send.short", shortio);
     inj.Arm("net.recv.short", shortio);
-    inj.Arm("net.uring.send.short", shortio);
-    inj.Arm("net.uring.recv.short", shortio);
     inj.Arm("net.shm.write.short", shortio);
     inj.Arm("net.shm.read.short", shortio);
   }
@@ -461,64 +446,22 @@ TEST_P(TransportLoopbackTest, LargeFramesReassembleAcrossBufferBoundaries) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Transports, TransportLoopbackTest,
-                         ::testing::Values("epoll", "uring", "shm"),
+                         ::testing::Values("epoll", "shm"),
                          [](const auto& info) {
                            return std::string(info.param);
                          });
-
-// ---------------------------------------------------------------------
-// Runtime downgrade: a server asked for uring on a host where the probe
-// fails must serve on epoll and count the fallback. MBP_FORCE_NO_URING
-// feeds the probe, but its result is cached per process — so the env-set
-// case runs in a child process re-exec'd from this binary.
-
-TEST(TransportFallback, UringRequestFallsBackToEpoll) {
-  const char* forced = std::getenv("MBP_FORCE_NO_URING");
-  if (forced == nullptr || forced[0] != '1') {
-    // Resolve the symlink here: handing the literal /proc/self/exe to
-    // system() would make the SHELL re-exec itself.
-    char self[4096];
-    const ssize_t n = readlink("/proc/self/exe", self, sizeof(self) - 1);
-    ASSERT_GT(n, 0);
-    self[n] = '\0';
-    const std::string cmd =
-        std::string("MBP_FORCE_NO_URING=1 '") + self +
-        "' --gtest_filter=TransportFallback.UringRequestFallsBackToEpoll "
-        ">/dev/null 2>&1";
-    ASSERT_EQ(std::system(cmd.c_str()), 0);
-    return;
-  }
-  ASSERT_FALSE(UringAvailable());
-  SnapshotRegistry registry;
-  ASSERT_TRUE(registry.Publish("pricing", MakeCurve()).ok());
-  PriceQueryEngine engine(&registry);
-  ServerOptions options;
-  options.num_shards = 1;
-  options.default_curve_id = "pricing";
-  options.transport = TransportKind::kUring;
-  auto server = PriceServer::Start(&engine, options);
-  ASSERT_TRUE(server.ok()) << server.status();
-  auto client = PriceClient::Connect("127.0.0.1", (*server)->port());
-  ASSERT_TRUE(client.ok()) << client.status();
-  ASSERT_TRUE((*client)->PriceAt("pricing", 2.0).ok());
-  const StatsPayload stats = (*server)->stats();
-  EXPECT_GE(stats.transport_fallbacks, 1u);
-  EXPECT_EQ(stats.uring_sqe_submitted, 0u);
-}
 
 TEST(TransportKindTest, NamesRoundTrip) {
   TransportKind kind;
   EXPECT_TRUE(ParseTransportKind("epoll", &kind));
   EXPECT_EQ(kind, TransportKind::kEpoll);
-  EXPECT_TRUE(ParseTransportKind("uring", &kind));
-  EXPECT_EQ(kind, TransportKind::kUring);
-  EXPECT_TRUE(ParseTransportKind("io_uring", &kind));
-  EXPECT_EQ(kind, TransportKind::kUring);
   EXPECT_TRUE(ParseTransportKind("shm", &kind));
   EXPECT_EQ(kind, TransportKind::kShm);
+  // The removed second TCP backend's names are refused, not aliased.
+  EXPECT_FALSE(ParseTransportKind("uring", &kind));
+  EXPECT_FALSE(ParseTransportKind("io_uring", &kind));
   EXPECT_FALSE(ParseTransportKind("carrier-pigeon", &kind));
   EXPECT_STREQ(TransportKindName(TransportKind::kEpoll), "epoll");
-  EXPECT_STREQ(TransportKindName(TransportKind::kUring), "uring");
   EXPECT_STREQ(TransportKindName(TransportKind::kShm), "shm");
 }
 

@@ -1,8 +1,8 @@
 // CatalogRegistry (serving/catalog_registry.h): dense-ref resolution,
 // residency gauges, idle eviction, the max-listings LRU cap, and
 // republish-under-zipf-load — the marketplace-scale behaviors layered on
-// top of the PR-2 RCU publish contract (which pricing_snapshot_test.cc
-// still pins via the SnapshotRegistry alias).
+// top of the RCU publish contract (which price_query_engine_test.cc pins
+// in its SnapshotRegistryTest cases).
 
 #include "serving/catalog_registry.h"
 

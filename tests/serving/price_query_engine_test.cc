@@ -7,7 +7,7 @@
 
 #include "core/pricing_function.h"
 #include "random/rng.h"
-#include "serving/snapshot_registry.h"
+#include "serving/catalog_registry.h"
 
 namespace mbp::serving {
 namespace {
@@ -28,7 +28,7 @@ PiecewiseLinearPricing MakeCheaperPricing() {
 }
 
 TEST(SnapshotRegistryTest, PublishFindWithdraw) {
-  SnapshotRegistry registry;
+  CatalogRegistry registry;
   EXPECT_EQ(registry.Find("m"), nullptr);
   EXPECT_EQ(registry.Withdraw("m").code(), StatusCode::kNotFound);
 
@@ -49,7 +49,7 @@ TEST(SnapshotRegistryTest, PublishFindWithdraw) {
 }
 
 TEST(SnapshotRegistryTest, PublishRejectsInvalidCurveKeepsOldSnapshot) {
-  SnapshotRegistry registry;
+  CatalogRegistry registry;
   auto slot = registry.Publish("m", MakeValidPricing());
   ASSERT_TRUE(slot.ok());
   const uint64_t stamp_before = (*slot)->stamp();
@@ -65,7 +65,7 @@ TEST(SnapshotRegistryTest, PublishRejectsInvalidCurveKeepsOldSnapshot) {
 }
 
 TEST(SnapshotRegistryTest, StampsAreUniqueAcrossSlots) {
-  SnapshotRegistry registry;
+  CatalogRegistry registry;
   auto a = registry.Publish("a", MakeValidPricing());
   auto b = registry.Publish("b", MakeCheaperPricing());
   ASSERT_TRUE(a.ok() && b.ok());
@@ -73,7 +73,7 @@ TEST(SnapshotRegistryTest, StampsAreUniqueAcrossSlots) {
 }
 
 TEST(PriceQueryEngineTest, ServesExactPricesColdAndHot) {
-  SnapshotRegistry registry;
+  CatalogRegistry registry;
   ASSERT_TRUE(registry.Publish("m", MakeValidPricing()).ok());
   PriceQueryEngine engine(&registry);
   const PiecewiseLinearPricing curve = MakeValidPricing();
@@ -102,7 +102,7 @@ TEST(PriceQueryEngineTest, ServesExactPricesColdAndHot) {
 }
 
 TEST(PriceQueryEngineTest, UnknownAndWithdrawnCurvesAreNotFound) {
-  SnapshotRegistry registry;
+  CatalogRegistry registry;
   PriceQueryEngine engine(&registry);
   EXPECT_EQ(engine.Price("ghost", 1.0).status().code(),
             StatusCode::kNotFound);
@@ -117,7 +117,7 @@ TEST(PriceQueryEngineTest, UnknownAndWithdrawnCurvesAreNotFound) {
 }
 
 TEST(PriceQueryEngineTest, RepublishInvalidatesCachedPrices) {
-  SnapshotRegistry registry;
+  CatalogRegistry registry;
   auto slot = registry.Publish("m", MakeValidPricing());
   ASSERT_TRUE(slot.ok());
   PriceQueryEngine engine(&registry);
@@ -131,7 +131,7 @@ TEST(PriceQueryEngineTest, RepublishInvalidatesCachedPrices) {
 }
 
 TEST(PriceQueryEngineTest, QuantizationSnapsQueriesButStaysExact) {
-  SnapshotRegistry registry;
+  CatalogRegistry registry;
   auto slot = registry.Publish("m", MakeValidPricing());
   ASSERT_TRUE(slot.ok());
   PriceQueryEngineOptions options;
@@ -158,7 +158,7 @@ TEST(PriceQueryEngineTest, QuantizationSnapsQueriesButStaysExact) {
 }
 
 TEST(PriceQueryEngineTest, ZeroCapacityDisablesCaching) {
-  SnapshotRegistry registry;
+  CatalogRegistry registry;
   auto slot = registry.Publish("m", MakeValidPricing());
   ASSERT_TRUE(slot.ok());
   PriceQueryEngineOptions options;
@@ -171,7 +171,7 @@ TEST(PriceQueryEngineTest, ZeroCapacityDisablesCaching) {
 }
 
 TEST(PriceQueryEngineTest, BudgetInversionMatchesResearchPath) {
-  SnapshotRegistry registry;
+  CatalogRegistry registry;
   auto slot = registry.Publish("m", MakeValidPricing());
   ASSERT_TRUE(slot.ok());
   PriceQueryEngine engine(&registry);
@@ -186,7 +186,7 @@ TEST(PriceQueryEngineTest, BudgetInversionMatchesResearchPath) {
 // Batch results must be bit-identical to the serial point path at every
 // thread count, cached or not (the PR-1 determinism contract).
 TEST(ParallelServingBatchTest, BatchIsBitIdenticalAcrossThreadCounts) {
-  SnapshotRegistry registry;
+  CatalogRegistry registry;
   auto slot = registry.Publish("m", MakeValidPricing());
   ASSERT_TRUE(slot.ok());
   PriceQueryEngineOptions options;
@@ -216,7 +216,7 @@ TEST(ParallelServingBatchTest, BatchIsBitIdenticalAcrossThreadCounts) {
 }
 
 TEST(ParallelServingBatchTest, SmallBatchRunsInlineAndMatches) {
-  SnapshotRegistry registry;
+  CatalogRegistry registry;
   auto slot = registry.Publish("m", MakeValidPricing());
   ASSERT_TRUE(slot.ok());
   PriceQueryEngine engine(&registry);  // default min_parallel_batch
@@ -235,7 +235,7 @@ TEST(ParallelServingBatchTest, SmallBatchRunsInlineAndMatches) {
 // not just on the snapshot: in exact mode the engine never manufactures a
 // monotonicity or subadditivity violation.
 TEST(PriceQueryEngineTest, ServedPricesAreArbitrageFreeOnGrid) {
-  SnapshotRegistry registry;
+  CatalogRegistry registry;
   auto slot = registry.Publish("m", MakeValidPricing());
   ASSERT_TRUE(slot.ok());
   PriceQueryEngine engine(&registry);
@@ -251,7 +251,7 @@ TEST(PriceQueryEngineTest, ServedPricesAreArbitrageFreeOnGrid) {
 // p(q(x)) + p(q(y)) by at most one quantum step of price. DESIGN.md §5b
 // documents this as the seller's quantum-selection rule.
 TEST(PriceQueryEngineTest, QuantizedServingBoundsArbitrageSlack) {
-  SnapshotRegistry registry;
+  CatalogRegistry registry;
   auto slot = registry.Publish("m", MakeValidPricing());
   ASSERT_TRUE(slot.ok());
   PriceQueryEngineOptions options;

@@ -17,8 +17,8 @@
 
 #include "core/pricing_function.h"
 #include "random/rng.h"
+#include "serving/catalog_registry.h"
 #include "serving/price_query_engine.h"
-#include "serving/snapshot_registry.h"
 
 namespace mbp::serving {
 namespace {
@@ -59,10 +59,10 @@ TEST(ServingStressTest, RepublishUnderQueryLoad) {
     }
   }
 
-  SnapshotRegistry registry;
+  CatalogRegistry registry;
   auto published = registry.Publish("stress", variants[0]);
   ASSERT_TRUE(published.ok());
-  const SnapshotRegistry::CurveSlot* slot = *published;
+  const CatalogRegistry::CurveSlot* slot = *published;
   PriceQueryEngine engine(&registry);
 
   std::atomic<bool> done{false};
@@ -151,10 +151,10 @@ TEST(ServingStressTest, RepublishUnderQueryLoad) {
 
 TEST(ServingStressTest, WithdrawRepublishRace) {
   constexpr size_t kCycles = 300;
-  SnapshotRegistry registry;
+  CatalogRegistry registry;
   auto published = registry.Publish("flicker", MakeVariant(0));
   ASSERT_TRUE(published.ok());
-  const SnapshotRegistry::CurveSlot* slot = *published;
+  const CatalogRegistry::CurveSlot* slot = *published;
   PriceQueryEngine engine(&registry);
   const double expected_price = MakeVariant(0).PriceAtInverseNcp(3.0);
 
@@ -196,7 +196,7 @@ TEST(ServingStressTest, WithdrawRepublishRace) {
 TEST(ServingStressTest, ConcurrentFirstPublishOfDistinctIds) {
   constexpr size_t kThreads = 8;
   constexpr size_t kIdsPerThread = 50;
-  SnapshotRegistry registry;
+  CatalogRegistry registry;
   std::atomic<size_t> failures{0};
 
   std::vector<std::thread> writers;

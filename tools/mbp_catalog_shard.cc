@@ -22,9 +22,9 @@
 //   --default-curve=ID  curve served for empty request ids
 //   --fault-seed=N   arm the chaos fault storm on this process's injector
 //   --fault-scale=F  storm probability multiplier (default 1.0)
-//   --transport=T    shard-loop transport: epoll (default) or uring.
-//                    uring falls back to epoll (with a stderr notice)
-//                    when the kernel lacks the needed io_uring features.
+//   --transport=T    shard-loop transport; epoll is the only value
+//                    (default), any other is refused. shm is not a
+//                    shard-loop transport: it serves next to TCP (--shm)
 //   --shm=PATH       also publish a shared-memory segment at PATH next
 //                    to the TCP listener; same-host clients connect with
 //                    "shm://PATH" (port ignored), remote ones keep TCP
@@ -131,6 +131,15 @@ int main(int argc, char** argv) {
   const size_t vnodes = static_cast<size_t>(flag("vnodes", 64));
   const uint64_t fault_seed = static_cast<uint64_t>(flag("fault-seed", 0));
   const double fault_scale = flag("fault-scale", 1.0);
+  const std::string transport_name =
+      bench::FlagString(argc, argv, "transport", "epoll");
+  if (transport_name != "epoll") {
+    std::fprintf(stderr,
+                 "--transport must be epoll (got %s); shm serves next to "
+                 "the TCP listener via --shm=PATH\n",
+                 transport_name.c_str());
+    return 1;
+  }
 
   serving::SyntheticCatalogSpec spec;
   spec.num_curves = static_cast<size_t>(flag("curves", 1024));
@@ -270,24 +279,6 @@ int main(int argc, char** argv) {
   server_options.num_shards = loops;
   server_options.default_curve_id =
       bench::FlagString(argc, argv, "default-curve", "");
-  const std::string transport_name =
-      bench::FlagString(argc, argv, "transport", "epoll");
-  net::TransportKind transport_kind = net::TransportKind::kEpoll;
-  if (!net::ParseTransportKind(transport_name, &transport_kind) ||
-      transport_kind == net::TransportKind::kShm) {
-    // shm is not a shard-loop replacement: it serves NEXT TO the TCP
-    // listener, selected per-process via --shm=PATH.
-    std::fprintf(stderr, "--transport must be epoll or uring (got %s)\n",
-                 transport_name.c_str());
-    return 1;
-  }
-  if (transport_kind == net::TransportKind::kUring &&
-      !net::UringAvailable()) {
-    std::fprintf(stderr,
-                 "NOTE: io_uring unavailable on this kernel; shard loops "
-                 "fall back to epoll\n");
-  }
-  server_options.transport = transport_kind;
   const std::string shm_path = bench::FlagString(argc, argv, "shm", "");
   if (!shm_path.empty()) {
     server_options.shm_path = shm_path;

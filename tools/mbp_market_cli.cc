@@ -105,9 +105,9 @@
 #include "ml/trainer.h"
 #include "net/client.h"
 #include "net/server.h"
+#include "serving/catalog_registry.h"
 #include "serving/fulfillment.h"
 #include "serving/price_query_engine.h"
-#include "serving/snapshot_registry.h"
 
 namespace mbp {
 namespace {
@@ -394,9 +394,9 @@ int RunCheckPricing(int argc, char** argv) {
 volatile std::sig_atomic_t g_serve_shutdown = 0;
 void HandleServeSignal(int) { g_serve_shutdown = 1; }
 
-int RunServeTcp(int argc, char** argv, serving::SnapshotRegistry* registry,
+int RunServeTcp(int argc, char** argv, serving::CatalogRegistry* registry,
                 serving::PriceQueryEngine* engine,
-                const serving::SnapshotRegistry::CurveSlot* slot,
+                const serving::CatalogRegistry::CurveSlot* slot,
                 const std::string& curve_id) {
   net::ServerOptions options;
   options.port = static_cast<uint16_t>(DoubleFlag(argc, argv, "port", 0));
@@ -601,10 +601,10 @@ int RunServe(int argc, char** argv) {
   // Publish: compiles the curve into an immutable snapshot, re-checking
   // the arbitrage-freeness certificate (a tampered pricing file is
   // rejected here, before it can serve a single price).
-  serving::SnapshotRegistry registry;
+  serving::CatalogRegistry registry;
   auto published = registry.Publish(curve_id, *pricing);
   if (!published.ok()) return Fail(published.status().ToString());
-  const serving::SnapshotRegistry::CurveSlot* slot = *published;
+  const serving::CatalogRegistry::CurveSlot* slot = *published;
 
   serving::PriceQueryEngineOptions engine_options;
   engine_options.quantum = DoubleFlag(argc, argv, "quantum", 0.0);
