@@ -5,7 +5,13 @@
 //      dispatch table to each variant in turn. Reports the speedup and the
 //      max relative deviation of SIMD from scalar (exactness gate: 1e-10).
 //
-//   2. Reuse level — cold vs warm SufficientStats regimes: an l2-sweep of
+//   2. Block level — a 64-model block scored by ml::Loss::EvaluateBlock
+//      (the Monte-Carlo error sweep's path) against 64 per-model
+//      Evaluate calls, at the three Table-3 classifier eval shapes, at
+//      each dispatch level. Reports the speedup and the max absolute
+//      difference between the two paths.
+//
+//   3. Reuse level — cold vs warm SufficientStats regimes: an l2-sweep of
 //      closed-form retrains and a SelectL2-style k-fold CV, each timed
 //      from-scratch (no cache, per-fold Subset + full Gram) and through
 //      the stats cache + fold downdates. Reports the speedup and whether
@@ -28,6 +34,7 @@
 #include "bench/bench_util.h"
 #include "common/cpu_features.h"
 #include "common/timer.h"
+#include "data/dataset.h"
 #include "data/synthetic.h"
 #include "linalg/kernels.h"
 #include "linalg/matrix.h"
@@ -50,6 +57,16 @@ struct KernelRow {
   double speedup = 0.0;
   double max_rel_diff = 0.0;
   bool within_tolerance = true;  // 1e-10 relative
+};
+
+struct BlockRow {
+  std::string loss;
+  std::string workload;
+  std::string level;
+  double per_model_ms = 0.0;
+  double block_ms = 0.0;
+  double speedup = 0.0;
+  double max_abs_diff = 0.0;
 };
 
 struct ReuseRow {
@@ -122,6 +139,60 @@ std::vector<double> Flatten(const linalg::Matrix& m) {
 
 std::vector<double> Flatten(const linalg::Vector& v) {
   return std::vector<double>(v.data(), v.data() + v.size());
+}
+
+// --- Block-level scenarios -------------------------------------------------
+
+// 64 models on an (n, d) classification set: `reps` rounds of 64
+// Evaluate calls vs `reps` EvaluateBlock calls, with dispatch pinned to
+// `level`.
+BlockRow SweepBlock(const ml::Loss& loss, size_t n, size_t d,
+                    SimdLevel level, size_t reps) {
+  using linalg::kernels::kBlockLanes;
+  BlockRow row;
+  row.loss = loss.name();
+  row.workload = "n=" + std::to_string(n) + " d=" + std::to_string(d) +
+                 " models=" + std::to_string(kBlockLanes) +
+                 " reps=" + std::to_string(reps);
+  row.level = SimdLevelName(level);
+  data::Simulated2Options options;
+  options.num_examples = n;
+  options.num_features = d;
+  options.seed = 23 + d;
+  auto generated = data::GenerateSimulated2(options);
+  MBP_CHECK(generated.ok());
+  const data::Dataset dataset = std::move(generated).value();
+  random::Rng rng(41 + d);
+  std::vector<double> block(d * kBlockLanes);
+  std::vector<linalg::Vector> models(kBlockLanes, linalg::Vector(d));
+  for (size_t j = 0; j < d; ++j) {
+    for (size_t t = 0; t < kBlockLanes; ++t) {
+      block[j * kBlockLanes + t] = random::SampleNormal(rng, 0.0, 1.0);
+      models[t][j] = block[j * kBlockLanes + t];
+    }
+  }
+  std::vector<double> per_model(kBlockLanes), blocked(kBlockLanes);
+  MBP_CHECK(linalg::kernels::ForceLevelForTesting(level));
+  row.per_model_ms = TimeMs([&] {
+    for (size_t rep = 0; rep < reps; ++rep) {
+      for (size_t t = 0; t < kBlockLanes; ++t) {
+        per_model[t] = loss.Evaluate(models[t], dataset);
+      }
+    }
+  });
+  row.block_ms = TimeMs([&] {
+    for (size_t rep = 0; rep < reps; ++rep) {
+      loss.EvaluateBlock(block.data(), kBlockLanes, dataset,
+                         blocked.data());
+    }
+  });
+  MBP_CHECK(linalg::kernels::ForceLevelForTesting(std::nullopt));
+  row.speedup = row.block_ms > 0.0 ? row.per_model_ms / row.block_ms : 0.0;
+  for (size_t t = 0; t < kBlockLanes; ++t) {
+    row.max_abs_diff =
+        std::max(row.max_abs_diff, std::abs(per_model[t] - blocked[t]));
+  }
+  return row;
 }
 
 // --- Reuse-level scenarios -------------------------------------------------
@@ -214,6 +285,7 @@ ReuseRow SweepCvSelect(const data::Dataset& dataset,
 }
 
 void EmitJson(FILE* out, const std::vector<KernelRow>& kernels,
+              const std::vector<BlockRow>& blocks,
               const std::vector<ReuseRow>& reuse) {
   bench::JsonWriter json(out);
   json.BeginObject();
@@ -244,6 +316,21 @@ void EmitJson(FILE* out, const std::vector<KernelRow>& kernels,
     json.Field("speedup", row.speedup);
     json.Field("max_rel_diff", row.max_rel_diff);
     json.Field("within_1e-10", row.within_tolerance);
+    json.EndObject();
+  }
+  json.EndArray();
+
+  json.Key("block_scoring");
+  json.BeginArray();
+  for (const BlockRow& row : blocks) {
+    json.BeginObject();
+    json.Field("loss", row.loss);
+    json.Field("workload", row.workload);
+    json.Field("level", row.level);
+    json.Field("per_model_ms", row.per_model_ms);
+    json.Field("block_ms", row.block_ms);
+    json.Field("speedup", row.speedup);
+    json.Field("max_abs_diff", row.max_abs_diff);
     json.EndObject();
   }
   json.EndArray();
@@ -327,6 +414,35 @@ int Run(int argc, char** argv) {
                 row.within_tolerance ? "OK" : "FAIL");
   }
 
+  // The listing benchmark's Table-3 classifier stand-ins, as their
+  // Monte-Carlo sweeps see them: (eval examples, features).
+  std::vector<BlockRow> blocks;
+  std::vector<SimdLevel> levels = {SimdLevel::kScalar};
+  if (linalg::kernels::Avx2Funcs() != nullptr) {
+    levels.push_back(SimdLevel::kAvx2Fma);
+  }
+  const ml::ZeroOneLoss zero_one;
+  const ml::LogisticLoss logistic(0.0);
+  const size_t shapes[][2] = {{1250, 20}, {200, 54}, {625, 18}};
+  for (const ml::Loss* loss :
+       {static_cast<const ml::Loss*>(&zero_one),
+        static_cast<const ml::Loss*>(&logistic)}) {
+    for (const auto& shape : shapes) {
+      for (SimdLevel level : levels) {
+        blocks.push_back(SweepBlock(*loss, shape[0], shape[1], level,
+                                    std::max<size_t>(1, 20 * scale)));
+      }
+    }
+  }
+  bench::PrintHeader("64-model block vs per-model Evaluate (single thread)");
+  for (const BlockRow& row : blocks) {
+    std::printf("%-9s %-34s %-9s per-model %8.2f ms  block %8.2f ms  "
+                "%5.2fx  max_abs_diff %.2e\n",
+                row.loss.c_str(), row.workload.c_str(), row.level.c_str(),
+                row.per_model_ms, row.block_ms, row.speedup,
+                row.max_abs_diff);
+  }
+
   std::vector<ReuseRow> reuse;
   const std::vector<double> candidates = {0.0001, 0.001, 0.01, 0.1,
                                           1.0,    10.0};
@@ -344,14 +460,14 @@ int Run(int argc, char** argv) {
   }
 
   if (out_path.empty()) {
-    EmitJson(stdout, kernels, reuse);
+    EmitJson(stdout, kernels, blocks, reuse);
   } else {
     FILE* out = std::fopen(out_path.c_str(), "w");
     if (out == nullptr) {
       std::fprintf(stderr, "cannot open --out=%s\n", out_path.c_str());
       return 1;
     }
-    EmitJson(out, kernels, reuse);
+    EmitJson(out, kernels, blocks, reuse);
     std::fclose(out);
     std::printf("wrote %s\n", out_path.c_str());
   }

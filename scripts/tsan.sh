@@ -3,14 +3,14 @@
 # concurrency-sensitive suites. Usage:
 #   scripts/tsan.sh [build_dir] [ctest_regex]
 # The default regex covers the thread pool, the parallel kernels, the
-# cross-thread determinism tests, the price-serving stress suites
-# (republish-under-load RCU swaps), and the networked serving suites
-# (epoll server + concurrent TCP clients under live republish); pass '.'
-# to run everything (slow).
+# cross-thread determinism tests, the Monte-Carlo error transform's
+# thread-count cases, the price-serving stress suites (republish-under-load
+# RCU swaps), and the networked serving suites (epoll server + concurrent
+# TCP clients under live republish); pass '.' to run everything (slow).
 set -euo pipefail
 
 BUILD_DIR="${1:-build-tsan}"
-FILTER="${2:-ThreadPool|ParallelFor|ParallelConfig|Parallel|Serving|Snapshot|PriceQuery|Net|Catalog|Intern|Cluster}"
+FILTER="${2:-ThreadPool|ParallelFor|ParallelConfig|Parallel|EmpiricalTransform|Serving|Snapshot|PriceQuery|Net|Catalog|Intern|Cluster}"
 
 cmake -B "$BUILD_DIR" -S "$(dirname "$0")/.." \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \

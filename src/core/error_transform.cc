@@ -4,16 +4,17 @@
 #include <cmath>
 #include <memory>
 
+#include "linalg/kernels.h"
 #include "ml/sufficient_stats.h"
 #include "optim/pava.h"
 
 namespace mbp::core {
 namespace {
 
-// Trials per Monte-Carlo task. Fixed (never derived from the thread
-// count) so the task decomposition — and therefore every RNG substream —
-// is identical at any concurrency level.
-constexpr size_t kTrialsPerChunk = 64;
+// Trials per Monte-Carlo task: one model block. Fixed (never derived from
+// the thread count) so the task decomposition — and therefore every RNG
+// substream — is identical at any concurrency level.
+constexpr size_t kTrialsPerChunk = linalg::kernels::kBlockLanes;
 
 // Piecewise-linear interpolation of ys over ascending xs, clamped to the
 // table's range at both ends.
@@ -97,38 +98,52 @@ StatusOr<EmpiricalErrorTransform> EmpiricalErrorTransform::Build(
       (options.trials_per_delta + kTrialsPerChunk - 1) / kTrialsPerChunk;
   std::vector<double> partial_sums(options.grid_size * chunks_per_point);
 
-  // Square-loss fast path: every trial scores ε on the SAME dataset, so
-  // fetch its sufficient statistics once (cached across transforms built
-  // on the same dataset) and evaluate each noisy instance in O(d^2) via
+  // Every trial scores ε on the SAME dataset. Square loss: fetch its
+  // sufficient statistics once (cached across transforms built on the
+  // same dataset) and evaluate each noisy instance in O(d^2) via
   //   ||y - X h||^2 = y^T y - 2 h.(X^T y) + h.(G h)
-  // instead of the O(n d) streaming pass. Same value up to rounding.
+  // instead of the O(n d) streaming pass. Every other ε: the chunk's
+  // noisy instances (kTrialsPerChunk == kBlockLanes) become the columns
+  // of one d x 64 block, scored in a single Loss::EvaluateBlock pass.
   std::shared_ptr<const ml::SufficientStats> eval_stats;
   if (error_function.kind() == ml::LossKind::kSquare) {
     eval_stats = ml::SufficientStatsCache::Shared().GetOrBuild(
         eval, options.parallel);
   }
+  const size_t d = optimal.size();
   MBP_RETURN_IF_ERROR(ParallelFor(
       options.parallel, 0, partial_sums.size(), 1,
       [&](size_t task_begin, size_t task_end) {
+        std::vector<double> block(
+            eval_stats != nullptr ? 0 : d * linalg::kernels::kBlockLanes);
+        double errors[kTrialsPerChunk];
         for (size_t task = task_begin; task < task_end; ++task) {
           const size_t g = task / chunks_per_point;
           const size_t c = task % chunks_per_point;
           const size_t trial_begin = c * kTrialsPerChunk;
-          const size_t trial_end = std::min(trial_begin + kTrialsPerChunk,
-                                            options.trials_per_delta);
+          const size_t trials =
+              std::min(kTrialsPerChunk,
+                       options.trials_per_delta - trial_begin);
           random::Rng rng(options.seed ^
                           (0x9E3779B97F4A7C15ULL * (g + 1)) ^
                           (0xBF58476D1CE4E5B9ULL * (trial_begin + 1)));
-          double total = 0.0;
-          for (size_t t = trial_begin; t < trial_end; ++t) {
+          for (size_t t = 0; t < trials; ++t) {
             const linalg::Vector noisy =
                 mechanism.Perturb(optimal, deltas[g], rng);
-            total += eval_stats != nullptr
-                         ? ml::SquareLossFromStats(
-                               *eval_stats, noisy,
-                               error_function.l2_regularization())
-                         : error_function.Evaluate(noisy, eval);
+            if (eval_stats != nullptr) {
+              errors[t] = ml::SquareLossFromStats(
+                  *eval_stats, noisy, error_function.l2_regularization());
+              continue;
+            }
+            for (size_t j = 0; j < d; ++j) {
+              block[j * linalg::kernels::kBlockLanes + t] = noisy.data()[j];
+            }
           }
+          if (eval_stats == nullptr) {
+            error_function.EvaluateBlock(block.data(), trials, eval, errors);
+          }
+          double total = 0.0;
+          for (size_t t = 0; t < trials; ++t) total += errors[t];
           partial_sums[task] = total;
         }
         return Status::OK();

@@ -103,8 +103,25 @@ void PwlBatchScalar(const PwlView& curve, const double* xs, double* out,
   for (size_t i = 0; i < count; ++i) out[i] = PwlEvalOne(curve, xs[i]);
 }
 
-constexpr Funcs kScalarFuncs{DotScalar,   AxpyScalar,  ScaleScalar,
-                             Axpy4Scalar, Gram4Scalar, PwlBatchScalar};
+void ScoreBlockScalar(const double* x, size_t ldx, size_t rows, size_t d,
+                      const double* h, size_t k, double* scores) {
+  for (size_t r = 0; r < rows; ++r) {
+    const double* xr = x + r * ldx;
+    double* out = scores + r * kBlockLanes;
+    for (size_t t = 0; t < k; ++t) out[t] = 0.0;
+    // Feature-major sweep: every lane's chain still adds its terms in
+    // feature order, and the block is read contiguously.
+    for (size_t j = 0; j < d; ++j) {
+      const double xj = xr[j];
+      const double* hj = h + j * kBlockLanes;
+      for (size_t t = 0; t < k; ++t) out[t] += xj * hj[t];
+    }
+  }
+}
+
+constexpr Funcs kScalarFuncs{DotScalar,      AxpyScalar,  ScaleScalar,
+                             Axpy4Scalar,    Gram4Scalar, PwlBatchScalar,
+                             ScoreBlockScalar};
 
 #if defined(MBP_HAVE_AVX2)
 
@@ -357,8 +374,80 @@ __attribute__((target("avx2,fma"))) void PwlBatchAvx2(const PwlView& curve,
   for (; i < count; ++i) out[i] = PwlEvalOne(curve, xs[i]);
 }
 
-constexpr Funcs kAvx2Funcs{DotAvx2,   AxpyAvx2,  ScaleAvx2,
-                           Axpy4Avx2, Gram4Avx2, PwlBatchAvx2};
+// Score-block register tile: R examples x V vectors of 4 model lanes,
+// R * V accumulators held in registers across the whole feature loop.
+// The main tile is 3 x 4: 12 accumulators, 3 block-row vectors and one
+// broadcast fill the 16 ymm registers (the compiler feeds the fourth
+// block-row vector to its FMAs as a memory operand), so nothing spills
+// and each feature's 12 FMAs share its block-row and example loads. `h`
+// and `scores` point at the tile's first lane.
+template <size_t R, size_t V>
+__attribute__((target("avx2,fma"), always_inline)) inline void ScoreTileAvx2(
+    const double* x, size_t ldx, size_t d, const double* h,
+    double* scores) {
+  __m256d acc[R][V];
+  for (size_t r = 0; r < R; ++r) {
+    for (size_t v = 0; v < V; ++v) acc[r][v] = _mm256_setzero_pd();
+  }
+  for (size_t j = 0; j < d; ++j) {
+    const double* hj = h + j * kBlockLanes;
+    __m256d hv[V];
+    for (size_t v = 0; v < V; ++v) hv[v] = _mm256_loadu_pd(hj + 4 * v);
+    for (size_t r = 0; r < R; ++r) {
+      const __m256d xb = _mm256_broadcast_sd(x + r * ldx + j);
+      for (size_t v = 0; v < V; ++v) {
+        acc[r][v] = _mm256_fmadd_pd(xb, hv[v], acc[r][v]);
+      }
+    }
+  }
+  for (size_t r = 0; r < R; ++r) {
+    for (size_t v = 0; v < V; ++v) {
+      _mm256_storeu_pd(scores + r * kBlockLanes + 4 * v, acc[r][v]);
+    }
+  }
+}
+
+// All k lanes of R example rows: 16-lane tiles, then 4-lane tiles, then
+// the < 4 leftover lanes as std::fma chains — each rounds exactly like a
+// vector lane, so where the tiles end cannot change a score.
+template <size_t R>
+__attribute__((target("avx2,fma"), always_inline)) inline void ScoreRowsAvx2(
+    const double* x, size_t ldx, size_t d, const double* h, size_t k,
+    double* scores) {
+  size_t t = 0;
+  for (; t + 16 <= k; t += 16) {
+    ScoreTileAvx2<R, 4>(x, ldx, d, h + t, scores + t);
+  }
+  for (; t + 4 <= k; t += 4) {
+    ScoreTileAvx2<R, 1>(x, ldx, d, h + t, scores + t);
+  }
+  for (; t < k; ++t) {
+    for (size_t r = 0; r < R; ++r) {
+      const double* xr = x + r * ldx;
+      double acc = 0.0;
+      for (size_t j = 0; j < d; ++j) {
+        acc = std::fma(xr[j], h[j * kBlockLanes + t], acc);
+      }
+      scores[r * kBlockLanes + t] = acc;
+    }
+  }
+}
+
+__attribute__((target("avx2,fma"))) void ScoreBlockAvx2(
+    const double* x, size_t ldx, size_t rows, size_t d, const double* h,
+    size_t k, double* scores) {
+  size_t r = 0;
+  for (; r + 3 <= rows; r += 3) {
+    ScoreRowsAvx2<3>(x + r * ldx, ldx, d, h, k, scores + r * kBlockLanes);
+  }
+  for (; r < rows; ++r) {
+    ScoreRowsAvx2<1>(x + r * ldx, ldx, d, h, k, scores + r * kBlockLanes);
+  }
+}
+
+constexpr Funcs kAvx2Funcs{DotAvx2,      AxpyAvx2,  ScaleAvx2,
+                           Axpy4Avx2,    Gram4Avx2, PwlBatchAvx2,
+                           ScoreBlockAvx2};
 
 #endif  // MBP_HAVE_AVX2
 

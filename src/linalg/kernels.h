@@ -32,6 +32,11 @@ struct PwlView {
   double inv_bucket_width = 0.0;
 };
 
+// Lane count of a model block (Funcs::score_block): up to this many
+// models are stored as the columns of a d x kBlockLanes row-major block,
+// coefficient j of model t at block[j * kBlockLanes + t].
+inline constexpr size_t kBlockLanes = 64;
+
 // Primitive micro-kernels behind every dense linalg hot path (vector_ops,
 // MatVec/MatTVec/MatMul/GramMatrix, sufficient-statistic builds). Two
 // variants exist: a scalar reference path that is always compiled in, and
@@ -50,7 +55,11 @@ struct PwlView {
 //    output element i is one fixed expression of input element i (the
 //    AVX2 variants fuse every multiply-add, std::fma in the tails), so
 //    any range split a caller makes lands on the same per-element
-//    operations and results are invariant to thread count and partition.
+//    operations and results are invariant to thread count and partition;
+//  - score_block computes each (example, model) score as ONE chain over
+//    the features in feature order, so a score depends only on its
+//    example row and its model column — never on how many rows or models
+//    share the call, or on the model's lane in the block.
 // Across variants the fused multiply-adds round differently, so
 // scalar-vs-SIMD results agree only to ~1e-15 relative error per
 // operation; tests and benches gate this at 1e-10 end to end. Forcing
@@ -95,6 +104,22 @@ struct Funcs {
   // the batch path must not let one bad query abort a serving process).
   void (*pwl_batch)(const PwlView& curve, const double* xs, double* out,
                     size_t count);
+  // Margin scores of a tile of examples against a block of models, the
+  // kernel behind ml::Loss::EvaluateBlock (the Monte-Carlo error sweep):
+  //   scores[r * kBlockLanes + t] = x_r . h_t   for r < rows, t < k,
+  // where x_r = x + r * ldx holds d features and model t is column t of
+  // the d x kBlockLanes block h (k <= kBlockLanes). Each score is one
+  // chain over j = 0..d-1 starting from 0: acc = acc + x_j * h_jt (plain
+  // mul + add) in the scalar variant, acc = fma(x_j, h_jt, acc) in the
+  // AVX2 one, whose lanes, register tiles and std::fma remainders all
+  // round identically. So within a variant a score is the same whatever
+  // rows, k, or lane position it is computed at — the Monte-Carlo sweep's
+  // chunking and thread count cannot move it. The chain is not dot's
+  // 4-accumulator split: a score agrees with dot(x_r, h_t) to rounding
+  // (~1e-16 relative per term), not bitwise. Lanes >= k of `scores` are
+  // not written.
+  void (*score_block)(const double* x, size_t ldx, size_t rows, size_t d,
+                      const double* h, size_t k, double* scores);
 };
 
 // The scalar reference table (bit-identical to the pre-SIMD kernels).

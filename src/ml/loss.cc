@@ -1,8 +1,10 @@
 #include "ml/loss.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/check.h"
+#include "linalg/kernels.h"
 #include "linalg/vector_ops.h"
 
 namespace mbp::ml {
@@ -23,6 +25,51 @@ double Sigmoid(double z) {
   }
   const double e = std::exp(z);
   return e / (1.0 + e);
+}
+
+using linalg::kernels::kBlockLanes;
+
+// Examples per score_block call (a multiple of the AVX2 kernel's 3-row
+// register tile). One tile's scores (6 KiB) are folded into the per-model
+// sums before the next tile is scored, so the block path never holds an
+// n x kBlockLanes score matrix.
+constexpr size_t kTileRows = 12;
+
+// sums[t] = the sum, over the examples in order, of
+// per_example(x_i . h_t, y_i) for the k model columns h_t of `models` —
+// Evaluate's loop, 64 models at a time.
+template <typename PerExample>
+void SumBlockScores(const double* models, size_t k, const data::Dataset& data,
+                    PerExample per_example, double* sums) {
+  MBP_CHECK_LE(k, kBlockLanes);
+  const auto score_block = linalg::kernels::Active().score_block;
+  const size_t n = data.num_examples();
+  const size_t d = data.num_features();
+  double scores[kTileRows * kBlockLanes];
+  std::fill(sums, sums + k, 0.0);
+  for (size_t i = 0; i < n; i += kTileRows) {
+    const size_t rows = std::min(kTileRows, n - i);
+    score_block(data.ExampleFeatures(i), d, rows, d, models, k, scores);
+    for (size_t r = 0; r < rows; ++r) {
+      const double y = data.Target(i + r);
+      const double* s = scores + r * kBlockLanes;
+      for (size_t t = 0; t < k; ++t) sums[t] += per_example(s[t], y);
+    }
+  }
+}
+
+// out[t] = sums[t] / n + l2 * ||h_t||^2, Evaluate's closing expression.
+void AverageAndPenalize(const double* sums, const double* models, size_t k,
+                        const data::Dataset& data, double l2, double* out) {
+  const size_t d = data.num_features();
+  const double n = static_cast<double>(data.num_examples());
+  linalg::Vector column(d);
+  for (size_t t = 0; t < k; ++t) {
+    for (size_t j = 0; j < d; ++j) {
+      column.data()[j] = models[j * kBlockLanes + t];
+    }
+    out[t] = sums[t] / n + l2 * linalg::SquaredNorm2(column);
+  }
 }
 
 }  // namespace
@@ -52,6 +99,11 @@ linalg::Matrix Loss::Hessian(const linalg::Vector&,
                              const data::Dataset&) const {
   MBP_CHECK(false) << "Hessian() not implemented for loss " << name();
   return linalg::Matrix();
+}
+
+void Loss::EvaluateBlock(const double*, size_t, const data::Dataset&,
+                         double*) const {
+  MBP_CHECK(false) << "EvaluateBlock() not implemented for loss " << name();
 }
 
 void Loss::AccumulateExampleGradient(const linalg::Vector&, const double*,
@@ -134,6 +186,16 @@ double LogisticLoss::Evaluate(const linalg::Vector& h,
   return total / static_cast<double>(n) + l2_ * linalg::SquaredNorm2(h);
 }
 
+void LogisticLoss::EvaluateBlock(const double* models, size_t k,
+                                 const data::Dataset& data,
+                                 double* out) const {
+  double sums[kBlockLanes];
+  SumBlockScores(
+      models, k, data,
+      [](double score, double y) { return Log1pExp(-(y * score)); }, sums);
+  AverageAndPenalize(sums, models, k, data, l2_, out);
+}
+
 linalg::Vector LogisticLoss::Gradient(const linalg::Vector& h,
                                       const data::Dataset& data) const {
   MBP_CHECK_EQ(h.size(), data.num_features());
@@ -214,6 +276,22 @@ double SmoothedHingeLoss::Evaluate(const linalg::Vector& h,
   return total / static_cast<double>(n) + l2_ * linalg::SquaredNorm2(h);
 }
 
+void SmoothedHingeLoss::EvaluateBlock(const double* models, size_t k,
+                                      const data::Dataset& data,
+                                      double* out) const {
+  double sums[kBlockLanes];
+  SumBlockScores(
+      models, k, data,
+      [gamma = gamma_](double score, double y) {
+        const double margin = y * score;
+        if (margin >= 1.0) return 0.0;
+        const double gap = 1.0 - margin;
+        return gap < gamma ? gap * gap / (2.0 * gamma) : gap - gamma / 2.0;
+      },
+      sums);
+  AverageAndPenalize(sums, models, k, data, l2_, out);
+}
+
 linalg::Vector SmoothedHingeLoss::Gradient(const linalg::Vector& h,
                                            const data::Dataset& data) const {
   MBP_CHECK_EQ(h.size(), data.num_features());
@@ -257,6 +335,22 @@ double ZeroOneLoss::Evaluate(const linalg::Vector& h,
     if (predicted != data.Target(i)) ++errors;
   }
   return static_cast<double>(errors) / static_cast<double>(n);
+}
+
+void ZeroOneLoss::EvaluateBlock(const double* models, size_t k,
+                                const data::Dataset& data,
+                                double* out) const {
+  // Mistake counts are small integers, exact in a double sum, so the
+  // average is bit-for-bit Evaluate's errors / n given the same signs.
+  double sums[kBlockLanes];
+  SumBlockScores(
+      models, k, data,
+      [](double score, double y) {
+        return (score > 0.0 ? 1.0 : -1.0) != y ? 1.0 : 0.0;
+      },
+      sums);
+  const double n = static_cast<double>(data.num_examples());
+  for (size_t t = 0; t < k; ++t) out[t] = sums[t] / n;
 }
 
 std::unique_ptr<Loss> MakeLoss(LossKind kind, double l2) {

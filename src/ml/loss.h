@@ -47,6 +47,18 @@ class Loss {
   virtual double Evaluate(const linalg::Vector& h,
                           const data::Dataset& data) const = 0;
 
+  // Evaluate() for k <= linalg::kernels::kBlockLanes models at once, the
+  // Monte-Carlo error sweep's path: `models` is a d x kBlockLanes
+  // row-major block (d = data.num_features()) whose column t is model t,
+  // and out[t] receives Evaluate(model t, data) for t < k. The margin
+  // losses score the block with the dispatched score_block kernel, whose
+  // per-score chain differs from Evaluate's dot only in rounding, and
+  // fold each score into its model's sum in example order, as Evaluate
+  // does. Checked programming error for losses without a block path
+  // (square loss; the sweep scores it from sufficient statistics).
+  virtual void EvaluateBlock(const double* models, size_t k,
+                             const data::Dataset& data, double* out) const;
+
   // Gradient of Evaluate w.r.t. h. Checked programming error if
   // !differentiable().
   virtual linalg::Vector Gradient(const linalg::Vector& h,
@@ -107,6 +119,8 @@ class LogisticLoss final : public Loss {
 
   double Evaluate(const linalg::Vector& h,
                   const data::Dataset& data) const override;
+  void EvaluateBlock(const double* models, size_t k,
+                     const data::Dataset& data, double* out) const override;
   linalg::Vector Gradient(const linalg::Vector& h,
                           const data::Dataset& data) const override;
   linalg::Matrix Hessian(const linalg::Vector& h,
@@ -133,6 +147,8 @@ class SmoothedHingeLoss final : public Loss {
 
   double Evaluate(const linalg::Vector& h,
                   const data::Dataset& data) const override;
+  void EvaluateBlock(const double* models, size_t k,
+                     const data::Dataset& data, double* out) const override;
   linalg::Vector Gradient(const linalg::Vector& h,
                           const data::Dataset& data) const override;
   void AccumulateExampleGradient(const linalg::Vector& h, const double* x,
@@ -158,6 +174,8 @@ class ZeroOneLoss final : public Loss {
 
   double Evaluate(const linalg::Vector& h,
                   const data::Dataset& data) const override;
+  void EvaluateBlock(const double* models, size_t k,
+                     const data::Dataset& data, double* out) const override;
 };
 
 // Factory keyed by LossKind. `l2` is ignored for kZeroOne.

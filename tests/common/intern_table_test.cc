@@ -150,7 +150,9 @@ TEST(InternTableTest, ConcurrentInternAndFindAgreeOnRefs) {
   }
   std::thread reader([&table, &stop] {
     uint64_t hits = 0;
-    while (!stop.load(std::memory_order_acquire)) {
+    // do-while: a reader first scheduled after the writers are done still
+    // makes one pass, so `hits` cannot read 0 just because it started late.
+    do {
       for (int i = 0; i < kKeys; i += 97) {
         const uint32_t ref = table.Find("k" + std::to_string(i));
         if (ref != InternTable::kNotFound) {
@@ -158,7 +160,7 @@ TEST(InternTableTest, ConcurrentInternAndFindAgreeOnRefs) {
           if (table.KeyOf(ref) == "k" + std::to_string(i)) ++hits;
         }
       }
-    }
+    } while (!stop.load(std::memory_order_acquire));
     EXPECT_GT(hits, 0u);
   });
   for (std::thread& t : writers) t.join();

@@ -1,12 +1,19 @@
 #include "core/error_transform.h"
 
+#include <algorithm>
 #include <cmath>
+#include <map>
 #include <memory>
+#include <mutex>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "data/synthetic.h"
 #include "ml/trainer.h"
+#include "optim/pava.h"
 
 namespace mbp::core {
 namespace {
@@ -195,6 +202,121 @@ TEST_F(EmpiricalTransformTest, ThreadCountDoesNotChangeTheResult) {
   ASSERT_TRUE(serial.ok() && parallel.ok() && oversubscribed.ok());
   EXPECT_EQ(serial->error_grid(), parallel->error_grid());
   EXPECT_EQ(serial->error_grid(), oversubscribed->error_grid());
+}
+
+// The Monte-Carlo path (non-square ε scores each 64-trial chunk as one
+// model block): the error table must not depend on the thread count
+// either. 150 trials per δ leave a partial last chunk of 22 models.
+TEST_F(EmpiricalTransformTest, MonteCarloThreadCountDoesNotChangeTheResult) {
+  data::Simulated2Options data_options;
+  data_options.num_examples = 300;
+  data_options.num_features = 7;
+  data_options.seed = 17;
+  const data::Dataset data =
+      data::GenerateSimulated2(data_options).value();
+  const linalg::Vector optimal =
+      ml::TrainOptimalModel(ml::ModelKind::kLogisticRegression, data, 0.01)
+          .value()
+          .model.coefficients();
+  GaussianMechanism mechanism;
+  const ml::ZeroOneLoss zero_one;
+  const ml::LogisticLoss logistic(0.0);
+  const size_t threads[] = {
+      1, 2, std::max<size_t>(1, std::thread::hardware_concurrency())};
+  for (const ml::Loss* loss : {static_cast<const ml::Loss*>(&zero_one),
+                               static_cast<const ml::Loss*>(&logistic)}) {
+    SCOPED_TRACE(loss->name());
+    EmpiricalErrorTransform::BuildOptions options;
+    options.delta_min = 0.05;
+    options.delta_max = 5.0;
+    options.grid_size = 6;
+    options.trials_per_delta = 150;
+    options.seed = 5;
+    std::vector<std::vector<double>> grids;
+    for (size_t n : threads) {
+      options.parallel.num_threads = n;
+      auto transform = EmpiricalErrorTransform::Build(mechanism, optimal,
+                                                      *loss, data, options);
+      ASSERT_TRUE(transform.ok()) << transform.status();
+      grids.push_back(transform->error_grid());
+    }
+    EXPECT_GT(grids[0].back(), grids[0].front());
+    for (size_t i = 1; i < grids.size(); ++i) {
+      EXPECT_EQ(grids[0], grids[i]) << threads[i] << " threads";
+    }
+  }
+}
+
+// Gaussian noise that also records every instance it hands out, keyed by
+// δ, so a test can recompute the Monte-Carlo average model by model.
+class RecordingMechanism final : public RandomizedMechanism {
+ public:
+  std::string name() const override { return "recording"; }
+  linalg::Vector Perturb(const linalg::Vector& optimal, double delta,
+                         random::Rng& rng) const override {
+    linalg::Vector noisy = gaussian_.Perturb(optimal, delta, rng);
+    std::lock_guard<std::mutex> lock(mu_);
+    drawn_[delta].push_back(noisy);
+    return noisy;
+  }
+  const std::vector<linalg::Vector>& drawn(double delta) const {
+    return drawn_.at(delta);
+  }
+
+ private:
+  GaussianMechanism gaussian_;
+  mutable std::mutex mu_;
+  mutable std::map<double, std::vector<linalg::Vector>> drawn_;
+};
+
+// The blocked sweep must average exactly the instances the mechanism drew:
+// each grid point's error equals the mean of per-model Evaluate over them
+// (up to summation order), partial last chunk included.
+TEST_F(EmpiricalTransformTest, MonteCarloMatchesPerModelEvaluate) {
+  data::Simulated2Options data_options;
+  data_options.num_examples = 250;
+  data_options.num_features = 9;
+  data_options.seed = 19;
+  const data::Dataset data =
+      data::GenerateSimulated2(data_options).value();
+  const linalg::Vector optimal =
+      ml::TrainOptimalModel(ml::ModelKind::kLogisticRegression, data, 0.01)
+          .value()
+          .model.coefficients();
+  const ml::ZeroOneLoss zero_one;
+  const ml::LogisticLoss logistic(0.02);
+  const ml::SmoothedHingeLoss hinge(0.02);
+  for (const ml::Loss* loss : {static_cast<const ml::Loss*>(&zero_one),
+                               static_cast<const ml::Loss*>(&logistic),
+                               static_cast<const ml::Loss*>(&hinge)}) {
+    SCOPED_TRACE(loss->name());
+    RecordingMechanism mechanism;
+    EmpiricalErrorTransform::BuildOptions options;
+    options.delta_min = 0.05;
+    options.delta_max = 5.0;
+    options.grid_size = 5;
+    options.trials_per_delta = 150;
+    options.parallel.num_threads = 2;
+    auto transform = EmpiricalErrorTransform::Build(mechanism, optimal,
+                                                    *loss, data, options);
+    ASSERT_TRUE(transform.ok()) << transform.status();
+    std::vector<double> want;
+    for (double delta : transform->delta_grid()) {
+      const std::vector<linalg::Vector>& drawn = mechanism.drawn(delta);
+      ASSERT_EQ(drawn.size(), options.trials_per_delta);
+      double total = 0.0;
+      for (const linalg::Vector& model : drawn) {
+        total += loss->Evaluate(model, data);
+      }
+      want.push_back(total / static_cast<double>(drawn.size()));
+    }
+    want = optim::IsotonicNonDecreasing(want);
+    const std::vector<double>& got = transform->error_grid();
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t g = 0; g < want.size(); ++g) {
+      EXPECT_NEAR(got[g], want[g], 1e-12 * want[g]) << "grid point " << g;
+    }
+  }
 }
 
 TEST_F(EmpiricalTransformTest, AnalyticSquareTransformSlopeFormula) {

@@ -5,7 +5,8 @@
 // (dot, axpy, axpy4, gram4) — on random, zero-heavy, non-finite, and
 // non-lane-multiple inputs. Within ONE variant, element-wise kernels must
 // be invariant to how a caller splits the range (fused tails, kernels.h),
-// which the split-consistency tests pin bitwise.
+// which the split-consistency tests pin bitwise; score_block is pinned
+// bitwise to its per-score chain in both variants.
 
 #include "linalg/kernels.h"
 
@@ -238,6 +239,95 @@ TEST_P(KernelOracleTest, ScaleBitIdenticalToScalarReference) {
     std::vector<double> got = x;
     avx2->scale(-0.75, got.data(), n);
     ExpectSameValues(want, got);
+  }
+}
+
+// score_block's contract: each score is ONE chain over the features in
+// feature order — plain mul + add in the scalar reference, fused in the
+// AVX2 variant — so both variants are pinned bitwise to that chain, and
+// agree with each other within the 1e-10 scalar-vs-SIMD gate. Seven rows
+// cover the 3-row register tile and its remainder; k covers the 16- and
+// 4-lane tiles and the < 4 leftover lanes.
+TEST_P(KernelOracleTest, ScoreBlockIsOneFeatureOrderChainPerScore) {
+  const size_t rows = 7;
+  for (size_t d : {1ul, 3ul, 18ul, 54ul}) {
+    const std::vector<double> x = MakeInput(GetParam(), rows * d, 71 * d);
+    const std::vector<double> h =
+        MakeInput(GetParam(), d * kBlockLanes, 73 * d + 1);
+    for (size_t k : {1ul, 3ul, 4ul, 13ul, 28ul, 63ul, 64ul}) {
+      std::vector<double> plain(rows * kBlockLanes, 0.0);
+      std::vector<double> fused(rows * kBlockLanes, 0.0);
+      for (size_t r = 0; r < rows; ++r) {
+        for (size_t t = 0; t < k; ++t) {
+          double p = 0.0, f = 0.0;
+          for (size_t j = 0; j < d; ++j) {
+            const double xj = x[r * d + j];
+            const double hj = h[j * kBlockLanes + t];
+            const double product = xj * hj;
+            p = p + product;
+            f = std::fma(xj, hj, f);
+          }
+          plain[r * kBlockLanes + t] = p;
+          fused[r * kBlockLanes + t] = f;
+        }
+      }
+      std::vector<double> got(rows * kBlockLanes, 0.0);
+      ScalarFuncs().score_block(x.data(), d, rows, d, h.data(), k,
+                                got.data());
+      ExpectSameValues(plain, got);
+      const Funcs* avx2 = Avx2Funcs();
+      if (avx2 == nullptr) continue;
+      std::vector<double> simd(rows * kBlockLanes, 0.0);
+      avx2->score_block(x.data(), d, rows, d, h.data(), k, simd.data());
+      ExpectSameValues(fused, simd);
+      ExpectCloseValues(got, simd);
+    }
+  }
+}
+
+// Within a variant a score must not depend on which other rows and models
+// share the call or on the model's lane: scoring a row subset, or a run of
+// models moved to the front of a fresh block, reproduces the same bits.
+// The Monte-Carlo sweep's chunking relies on this.
+TEST_P(KernelOracleTest, ScoreBlockInvariantToRowsAndLanes) {
+  for (const Funcs* funcs : {&ScalarFuncs(), Avx2Funcs()}) {
+    if (funcs == nullptr) continue;
+    const size_t rows = 13;
+    const size_t d = 20;
+    const std::vector<double> x = MakeInput(GetParam(), rows * d, 201);
+    const std::vector<double> h =
+        MakeInput(GetParam(), d * kBlockLanes, 202);
+    std::vector<double> whole(rows * kBlockLanes);
+    funcs->score_block(x.data(), d, rows, d, h.data(), kBlockLanes,
+                       whole.data());
+    for (size_t split : {1ul, 5ul, 8ul}) {
+      std::vector<double> parts(rows * kBlockLanes);
+      funcs->score_block(x.data(), d, split, d, h.data(), kBlockLanes,
+                         parts.data());
+      funcs->score_block(x.data() + split * d, d, rows - split, d,
+                         h.data(), kBlockLanes,
+                         parts.data() + split * kBlockLanes);
+      ExpectSameValues(whole, parts);
+    }
+    for (size_t first : {1ul, 6ul, 37ul}) {
+      const size_t k = std::min<size_t>(kBlockLanes - first, 22);
+      std::vector<double> moved(d * kBlockLanes, 0.0);
+      for (size_t j = 0; j < d; ++j) {
+        for (size_t t = 0; t < k; ++t) {
+          moved[j * kBlockLanes + t] = h[j * kBlockLanes + first + t];
+        }
+      }
+      std::vector<double> got(rows * kBlockLanes);
+      funcs->score_block(x.data(), d, rows, d, moved.data(), k, got.data());
+      for (size_t r = 0; r < rows; ++r) {
+        const std::vector<double> want(
+            whole.begin() + r * kBlockLanes + first,
+            whole.begin() + r * kBlockLanes + first + k);
+        const std::vector<double> lanes(got.begin() + r * kBlockLanes,
+                                        got.begin() + r * kBlockLanes + k);
+        ExpectSameValues(want, lanes);
+      }
+    }
   }
 }
 

@@ -2,9 +2,14 @@
 
 #include <cmath>
 #include <memory>
+#include <optional>
+#include <ostream>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/cpu_features.h"
+#include "linalg/kernels.h"
 #include "linalg/vector_ops.h"
 #include "random/distributions.h"
 #include "random/rng.h"
@@ -158,6 +163,12 @@ struct GradientCase {
   double l2;
 };
 
+// Names the instantiations by their fields (the default prints the raw
+// bytes, padding included, so the test names would change per build).
+void PrintTo(const GradientCase& param, std::ostream* os) {
+  *os << LossKindToString(param.kind) << " l2=" << param.l2;
+}
+
 class GradientCheckTest : public ::testing::TestWithParam<GradientCase> {};
 
 TEST_P(GradientCheckTest, GradientMatchesFiniteDifferences) {
@@ -240,6 +251,65 @@ INSTANTIATE_TEST_SUITE_P(
                       GradientCase{LossKind::kSquare, 0.2},
                       GradientCase{LossKind::kLogistic, 0.0},
                       GradientCase{LossKind::kLogistic, 0.3}));
+
+// ------------------------------------------------ block evaluation
+
+// EvaluateBlock against Evaluate, model column by model column: the block
+// path must return what the per-model loop would, for every block width
+// (one lane, sub-vector, 63 and a full 64), feature counts on both sides of
+// the kernel's register tile, an example count that leaves a partial row
+// tile, and at every dispatch level.
+TEST(LossBlockTest, EvaluateBlockMatchesEvaluatePerModel) {
+  using linalg::kernels::kBlockLanes;
+  std::vector<SimdLevel> levels = {SimdLevel::kScalar};
+  if (linalg::kernels::Avx2Funcs() != nullptr) {
+    levels.push_back(SimdLevel::kAvx2Fma);
+  }
+  const LogisticLoss logistic(0.05);
+  const SmoothedHingeLoss hinge(0.05, 0.5);
+  const ZeroOneLoss zero_one;
+  const Loss* const losses[] = {&logistic, &hinge, &zero_one};
+  for (SimdLevel level : levels) {
+    ASSERT_TRUE(linalg::kernels::ForceLevelForTesting(level));
+    for (size_t d : {5ul, 18ul, 54ul}) {
+      const data::Dataset data = RandomClassification(37, d, 40 + d);
+      random::Rng rng(7 * d);
+      std::vector<double> block(d * kBlockLanes);
+      for (double& v : block) v = random::SampleNormal(rng, 0.0, 0.7);
+      for (size_t k : {1ul, 5ul, 63ul, 64ul}) {
+        for (const Loss* loss : losses) {
+          SCOPED_TRACE(loss->name() + " level " + SimdLevelName(level) +
+                       " d " + std::to_string(d) + " k " +
+                       std::to_string(k));
+          double out[kBlockLanes];
+          loss->EvaluateBlock(block.data(), k, data, out);
+          for (size_t t = 0; t < k; ++t) {
+            linalg::Vector model(d);
+            for (size_t j = 0; j < d; ++j) {
+              model[j] = block[j * kBlockLanes + t];
+            }
+            const double want = loss->Evaluate(model, data);
+            if (loss->kind() == LossKind::kZeroOne) {
+              EXPECT_EQ(out[t], want) << "model " << t;
+            } else {
+              EXPECT_NEAR(out[t], want, 1e-12 * std::abs(want))
+                  << "model " << t;
+            }
+          }
+        }
+      }
+    }
+  }
+  ASSERT_TRUE(linalg::kernels::ForceLevelForTesting(std::nullopt));
+}
+
+TEST(LossBlockTest, SquareLossHasNoBlockPath) {
+  const SquareLoss loss;
+  double block[2 * linalg::kernels::kBlockLanes] = {};
+  double out[1];
+  EXPECT_DEATH(loss.EvaluateBlock(block, 1, TinyRegression(), out),
+               "EvaluateBlock");
+}
 
 TEST(LogisticLossTest, NumericallyStableAtExtremeMargins) {
   linalg::Matrix features{{1.0}};

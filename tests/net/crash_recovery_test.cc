@@ -168,7 +168,11 @@ class ShardProcess {
 class CrashRecoveryTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    wal_dir_ = ::testing::TempDir() + "/crash_" +
+    // The pid keeps the directory private to this process: `ctest -C
+    // crash` runs the same case in mbp_crash_chaos and in its own
+    // registered copy, possibly at the same time.
+    wal_dir_ = ::testing::TempDir() + "/crash_" + std::to_string(getpid()) +
+               "_" +
                ::testing::UnitTest::GetInstance()->current_test_info()->name();
     RemoveTree(wal_dir_);
   }
