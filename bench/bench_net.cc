@@ -6,7 +6,7 @@
 //
 // Regimes (single-curve mode, --curves<=1, the PR-4 shape):
 //   pingpong    one PRICE_AT per round trip (batch size 1) — the latency
-//               floor of the socket + protocol + engine path
+//               floor of the socket + protocol + snapshot path
 //   batched     one PRICE_AT frame carrying --batch xs per round trip —
 //               amortizes framing and lets the server micro-batch
 // Multi-curve mode (--curves N > 1) serves a synthetic catalog of N
@@ -96,7 +96,6 @@
 #include "random/distributions.h"
 #include "random/rng.h"
 #include "serving/fulfillment.h"
-#include "serving/price_query_engine.h"
 #include "serving/synthetic_catalog.h"
 
 namespace mbp {
@@ -596,9 +595,9 @@ int main(int argc, char** argv) {
     workload.x_hi.push_back(curve.points().back().x * 1.05);
   }
 
-  serving::PriceQueryEngine engine(&registry);
   // The purchase_mix regime sells through the in-process server; the
-  // engine is cheap to stand up (models train lazily on first BUY).
+  // fulfillment engine is cheap to stand up (models train lazily on the
+  // first BUY).
   // --wal-dir + --wal-fsync make the sale ledger durable, so the regime
   // measures the charge-durable-then-deliver BUY path — the fsync-policy
   // p99 cost the durability section of BENCH_net.json records.
@@ -648,7 +647,7 @@ int main(int argc, char** argv) {
       options.shm_shards = config.shards;
       shm_uri = "shm://" + shm_path;
     }
-    auto started = net::PriceServer::Start(&engine, options);
+    auto started = net::PriceServer::Start(&registry, options);
     if (!started.ok()) {
       std::fprintf(stderr, "server start failed: %s\n",
                    started.status().ToString().c_str());

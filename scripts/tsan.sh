@@ -10,7 +10,7 @@
 set -euo pipefail
 
 BUILD_DIR="${1:-build-tsan}"
-FILTER="${2:-ThreadPool|ParallelFor|ParallelConfig|Parallel|EmpiricalTransform|Serving|Snapshot|PriceQuery|Net|Catalog|Intern|Cluster}"
+FILTER="${2:-ThreadPool|ParallelFor|ParallelConfig|Parallel|EmpiricalTransform|Serving|Snapshot|Net|Catalog|Intern|Cluster}"
 
 cmake -B "$BUILD_DIR" -S "$(dirname "$0")/.." \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \

@@ -46,8 +46,8 @@ inline uint64_t Fnv1a64(std::string_view bytes,
 }
 
 // splitmix64 finalizer: a cheap full-avalanche mix, so that keys differing
-// only in high bits (e.g. bit patterns of nearby doubles) still spread
-// across power-of-two shard/slot masks. A bijection — never use it where
+// only in high bits (e.g. nearby pointers, or bit patterns of nearby
+// doubles) still spread across a power-of-two table mask. A bijection — never use it where
 // the input must stay secret.
 inline uint64_t HashMix64(uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;

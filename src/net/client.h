@@ -96,8 +96,9 @@ class ClientChannel;
 // deadlines, reconnects) is transport-agnostic.
 //
 // Server-side errors (unknown curve, withdrawn snapshot, infeasible
-// budget) come back as the Status carried in the response frame, keeping
-// remote error semantics identical to calling PriceQueryEngine directly.
+// budget) come back as the Status carried in the response frame, with
+// the same codes an in-process CatalogRegistry lookup would give
+// (kNotFound for an unknown or withdrawn curve).
 // OVERLOADED responses and transport faults are absorbed by the retry
 // layer up to the policy's limits, then surface as kUnavailable /
 // kDeadlineExceeded / kInternal.

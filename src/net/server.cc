@@ -28,6 +28,12 @@ double MicrosSince(Clock::time_point start) {
       .count();
 }
 
+// A resolved slot whose snapshot is null: the listing was withdrawn.
+Status CurveNotServing() {
+  return NotFoundError("curve is not being served (withdrawn or never "
+                       "published)");
+}
+
 Status ErrnoError(const std::string& what) {
   return InternalError(what + ": " + std::strerror(errno));
 }
@@ -103,8 +109,8 @@ struct PriceServer::Shard {
   Arena scratch;
 
   // PRICE_AT queries decoded this pass, coalesced per curve slot; one
-  // PriceQueryEngine::PriceBatch call serves each group (so every query
-  // in the group is answered from ONE snapshot). The per-curve groups
+  // snapshot load and one PriceAtBatch call serve each group (so every
+  // query in the group is answered from ONE snapshot). The per-curve groups
   // live in `scratch` and are found through an open-addressed pointer-
   // keyed map that also lives in `scratch` (PR 6 used a linear scan,
   // which was O(K) per request once a zipf-spread pass touches hundreds
@@ -177,10 +183,10 @@ struct PriceServer::Shard {
   }
 };
 
-PriceServer::PriceServer(const serving::PriceQueryEngine* engine,
+PriceServer::PriceServer(const serving::CatalogRegistry* registry,
                          ServerOptions options)
-    : engine_(engine), options_(std::move(options)) {
-  MBP_CHECK(engine_ != nullptr);
+    : registry_(registry), options_(std::move(options)) {
+  MBP_CHECK(registry_ != nullptr);
   if (options_.num_shards == 0) options_.num_shards = 1;
   if (options_.max_write_queue_bytes == 0) {
     options_.max_write_queue_bytes = 1 << 20;
@@ -188,9 +194,9 @@ PriceServer::PriceServer(const serving::PriceQueryEngine* engine,
 }
 
 StatusOr<std::unique_ptr<PriceServer>> PriceServer::Start(
-    const serving::PriceQueryEngine* engine, ServerOptions options) {
+    const serving::CatalogRegistry* registry, ServerOptions options) {
   std::unique_ptr<PriceServer> server(
-      new PriceServer(engine, std::move(options)));
+      new PriceServer(registry, std::move(options)));
   MBP_RETURN_IF_ERROR(server->Listen());
   for (size_t s = 0; s < server->options_.num_shards; ++s) {
     auto shard = std::make_unique<Shard>();
@@ -307,8 +313,8 @@ StatsPayload PriceServer::stats() const {
     s.recovery_ms = f.recovery_ms;
     s.fulfillment_latency = f.latency;
   }
-  s.catalog_listings = engine_->registry().resident_listings();
-  s.catalog_bytes = engine_->registry().resident_bytes();
+  s.catalog_listings = registry_->resident_listings();
+  s.catalog_bytes = registry_->resident_bytes();
   s.transport_syscalls = metrics_.transport.transport_syscalls.Value();
   s.shm_doorbell_wakes = metrics_.transport.shm_doorbell_wakes.Value();
   s.latency = metrics_.request_latency.Snapshot();
@@ -330,8 +336,7 @@ PriceServer::ResolveCurve(std::string_view curve_id) const {
                        : curve_id;
   // Heterogeneous registry lookup: `id` is a view into the wire buffer
   // and never materializes a std::string on the hot path.
-  const serving::CatalogRegistry::CurveSlot* slot =
-      engine_->registry().Find(id);
+  const serving::CatalogRegistry::CurveSlot* slot = registry_->Find(id);
   if (slot == nullptr) {
     return NotFoundError("curve '" + std::string(id) +
                          "' is not being served");
@@ -461,7 +466,7 @@ void PriceServer::OnData(Shard* shard, Connection* conn, const uint8_t* data,
 }
 
 // Degradation rungs 2 and 3: shed query verbs with a fast OVERLOADED
-// answer instead of doing engine work the client will retry anyway.
+// answer instead of doing pricing work the client will retry anyway.
 // SNAPSHOT_INFO and STATS pass through — they are cheap and the overload
 // must stay observable.
 bool PriceServer::ShouldShed(const Connection* conn, Verb verb) const {
@@ -504,8 +509,8 @@ void PriceServer::HandleRequest(Shard* shard, Connection* conn,
   }
   if (request.verb == Verb::kQuote || request.verb == Verb::kBuy ||
       request.verb == Verb::kReplay) {
-    // The engine resolves the curve itself (it needs the ref, not just
-    // the slot) and REPLAY needs no live listing at all.
+    // The fulfillment engine resolves the curve itself (it needs the ref,
+    // not just the slot) and REPLAY needs no live listing at all.
     HandleFulfillment(shard, conn, request);
     return;
   }
@@ -540,19 +545,27 @@ void PriceServer::HandleRequest(Shard* shard, Connection* conn,
       return;
     }
     case Verb::kBudgetToX: {
-      // Answered inline, staged through scratch doubles so the success
-      // path frames straight from a raw array (no Response, no vector).
+      // Answered inline from ONE snapshot load, so every budget of the
+      // request inverts the same curve even across a racing republish.
+      // Staged through scratch doubles so the success path frames straight
+      // from a raw array (no Response, no vector).
+      const auto snapshot = (*slot)->Load();
+      Status status = snapshot == nullptr ? CurveNotServing() : Status::OK();
       double* xs = shard->scratch.AllocateArray<double>(request.num_args);
-      for (size_t i = 0; i < request.num_args; ++i) {
-        const auto x = engine_->BudgetToInverseNcp(*slot, request.args[i]);
-        if (!x.ok()) {
-          metrics_.requests_error.Increment();
-          metrics_.request_latency.Record(MicrosSince(start));
-          EnqueueResponse(shard, conn,
-                          ErrorResponseFor(request, x.status()));
-          return;
+      for (size_t i = 0; status.ok() && i < request.num_args; ++i) {
+        // BudgetToInverseNcp MBP_CHECKs budget >= 0: a negative or NaN
+        // budget off the wire is an error answer, not a server abort.
+        if (request.args[i] >= 0.0) {
+          xs[i] = snapshot->BudgetToInverseNcp(request.args[i]);
+        } else {
+          status = InvalidArgumentError("budget must be a number >= 0");
         }
-        xs[i] = *x;
+      }
+      if (!status.ok()) {
+        metrics_.requests_error.Increment();
+        metrics_.request_latency.Record(MicrosSince(start));
+        EnqueueResponse(shard, conn, ErrorResponseFor(request, status));
+        return;
       }
       metrics_.requests_ok.Increment();
       metrics_.queries.Increment(request.num_args);
@@ -684,16 +697,14 @@ void PriceServer::FlushPriceBatches(Shard* shard) {
     // request_deadline_ms, exercising the deadline-drop path on demand.
     (void)MBP_FAULT_DELAY("net.server.batch.delay");
     double* prices = shard->scratch.AllocateArray<double>(batch->xs.size());
-    // The whole micro-batch is served from ONE snapshot load inside
-    // PriceBatch — consistent across every coalesced request even if a
-    // republish lands mid-batch. Pool dispatch only once the batch is
-    // worth it; small batches run inline on the shard thread.
-    ParallelConfig parallel;
-    parallel.num_threads =
-        batch->xs.size() >= options_.min_pool_batch ? options_.batch_threads
-                                                    : 1;
-    const Status status = engine_->PriceBatch(
-        batch->slot, batch->xs.data(), prices, batch->xs.size(), parallel);
+    // The whole micro-batch is served from ONE snapshot load — consistent
+    // across every coalesced request even if a republish lands mid-batch.
+    const auto snapshot = batch->slot->Load();
+    const Status status =
+        snapshot != nullptr ? Status::OK() : CurveNotServing();
+    if (status.ok()) {
+      snapshot->PriceAtBatch(batch->xs.data(), prices, batch->xs.size());
+    }
     metrics_.batches.Increment();
     for (const Shard::PendingPrice& p : batch->pending) {
       if (p.conn->dead) continue;

@@ -11,11 +11,10 @@
 
 #include "common/metrics.h"
 #include "common/statusor.h"
-#include "common/thread_pool.h"
 #include "net/protocol.h"
 #include "net/transport.h"
+#include "serving/catalog_registry.h"
 #include "serving/fulfillment.h"
-#include "serving/price_query_engine.h"
 
 namespace mbp::net {
 
@@ -29,9 +28,9 @@ struct ServerOptions {
 
   // Event-loop shards. Each shard owns an epoll instance and a private
   // set of connections; the listening socket is shared across shards with
-  // EPOLLEXCLUSIVE so the kernel spreads accepts. Snapshot resolution
-  // inside the engine is pinned thread-locally per shard (DESIGN.md §5b),
-  // so shards never contend on the registry's atomics between publishes.
+  // EPOLLEXCLUSIVE so the kernel spreads accepts. Shards share only the
+  // registry, which they read through one snapshot load per PRICE_AT
+  // micro-batch and per BUDGET_TO_X request (DESIGN.md §5b).
   size_t num_shards = 2;
 
   // Curve served when a request's curve id is empty.
@@ -56,7 +55,7 @@ struct ServerOptions {
 
   // Soft accepted-connection high-water mark: while more than this many
   // connections are active, PRICE_AT / BUDGET_TO_X requests are answered
-  // kUnavailable (OVERLOADED) without touching the engine — clients back
+  // kUnavailable (OVERLOADED) without pricing anything — clients back
   // off, established traffic keeps its capacity. SNAPSHOT_INFO and STATS
   // stay served so operators can observe the overload. 0 disables the
   // rung (only the hard max_connections cap applies).
@@ -64,7 +63,7 @@ struct ServerOptions {
 
   // Per-connection write-queue shed mark: a request arriving while the
   // connection already has more than this many pending response bytes is
-  // answered OVERLOADED (the peer is not consuming; doing engine work
+  // answered OVERLOADED (the peer is not consuming; doing pricing work
   // for it only deepens the queue). 0 means "use max_write_queue_bytes".
   size_t shed_write_queue_bytes = 0;
 
@@ -74,15 +73,6 @@ struct ServerOptions {
   // fires when the event loop stalls (overload, injected faults).
   // 0 disables.
   int request_deadline_ms = 0;
-
-  // Micro-batched PRICE_AT evaluation: each event-loop pass gathers every
-  // decoded PRICE_AT query (across requests AND connections, grouped per
-  // curve) into one PriceQueryEngine::PriceBatch call. Batches of at
-  // least `min_pool_batch` queries fan out over the shared ThreadPool;
-  // smaller ones run inline on the shard thread.
-  size_t min_pool_batch = 4096;
-  // Threads for the pooled batches (0 = hardware concurrency).
-  size_t batch_threads = 0;
 
   // How long Shutdown() keeps flushing pending responses before closing
   // connections that cannot drain.
@@ -110,19 +100,24 @@ struct ServerOptions {
 };
 
 // TCP (epoll) + optional shared-memory front end over the
-// lock-free PriceQueryEngine: the subsystem that serves the whole stack
-// end to end across a transport (DESIGN.md §5d, §5h). Frames are the
-// binary protocol of net/protocol.h; any
-// number of requests may be pipelined per connection (correlate responses
-// by request_id — PRICE_AT answers are micro-batched and may land after
-// responses to later non-PRICE_AT requests).
+// CatalogRegistry's compiled snapshots: the subsystem that serves the
+// whole stack end to end across a transport (DESIGN.md §5d, §5h). Frames
+// are the binary protocol of net/protocol.h; any number of requests may
+// be pipelined per connection (correlate responses by request_id —
+// PRICE_AT answers are micro-batched and may land after responses to
+// later non-PRICE_AT requests).
+//
+// Micro-batched PRICE_AT evaluation: each event-loop pass gathers every
+// decoded PRICE_AT query (across requests AND connections, grouped per
+// curve) and serves each group with one snapshot load and one
+// PricingSnapshot::PriceAtBatch call, inline on the shard thread.
 //
 // Concurrency: each connection belongs to exactly one shard thread, so
 // per-connection state is single-threaded by construction. Shards share
-// only the engine (safe by its own contract), the registry (RCU reads),
-// and the relaxed-atomic metrics. Publish/Withdraw on the registry remain
-// safe at any time — remote clients keep querying across a republish and
-// every response is served from one complete (old or new) snapshot.
+// only the registry (RCU reads) and the relaxed-atomic metrics.
+// Publish/Withdraw on the registry remain safe at any time — remote
+// clients keep querying across a republish and every response is served
+// from one complete (old or new) snapshot.
 //
 // Shutdown() is the graceful drain path: stop accepting, serve the
 // requests already received in full, flush pending responses (bounded by
@@ -130,10 +125,10 @@ struct ServerOptions {
 // destructor.
 class PriceServer {
  public:
-  // Binds, listens, and starts the shard threads. `engine` (and the
-  // registry behind it) must outlive the server.
+  // Binds, listens, and starts the shard threads. `registry` must outlive
+  // the server.
   static StatusOr<std::unique_ptr<PriceServer>> Start(
-      const serving::PriceQueryEngine* engine, ServerOptions options = {});
+      const serving::CatalogRegistry* registry, ServerOptions options = {});
 
   ~PriceServer();
 
@@ -175,7 +170,8 @@ class PriceServer {
     TransportCounters transport;
   };
 
-  PriceServer(const serving::PriceQueryEngine* engine, ServerOptions options);
+  PriceServer(const serving::CatalogRegistry* registry,
+              ServerOptions options);
 
   Status Listen();
   void ShardLoop(Shard* shard);
@@ -223,13 +219,13 @@ class PriceServer {
   // drain timeout), as opposed to peer-initiated closes.
   void KillConnection(Shard* shard, Connection* conn);
   // True when the ladder says to answer `request` on `conn` with
-  // OVERLOADED instead of doing engine work.
+  // OVERLOADED instead of doing pricing work.
   bool ShouldShed(const Connection* conn, Verb verb) const;
   void DrainShard(Shard* shard);
   StatusOr<const serving::CatalogRegistry::CurveSlot*> ResolveCurve(
       std::string_view curve_id) const;
 
-  const serving::PriceQueryEngine* engine_;
+  const serving::CatalogRegistry* registry_;
   ServerOptions options_;
   int listen_fd_ = -1;
   uint16_t port_ = 0;

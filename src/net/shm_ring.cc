@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <cerrno>
 #include <chrono>
 #include <climits>
@@ -115,12 +116,6 @@ Status ShmErrnoError(const std::string& what) {
   return InternalError(what + ": " + std::strerror(errno));
 }
 
-uint64_t RoundUpPow2(uint64_t v) {
-  uint64_t p = 1;
-  while (p < v) p <<= 1;
-  return p;
-}
-
 size_t SegmentBytes(size_t slots, uint64_t ring_bytes) {
   const uint64_t stride = sizeof(SlotHeader) + 2 * ring_bytes;
   return sizeof(SegHeader) + slots * stride;
@@ -137,7 +132,7 @@ StatusOr<std::unique_ptr<ShmSegment>> ShmSegment::Create(
     return InvalidArgumentError("shm slots must be in [1, 4096]");
   }
   const uint64_t ring_bytes =
-      RoundUpPow2(std::max<uint64_t>(options.ring_bytes, 64 * 1024));
+      std::bit_ceil(std::max<uint64_t>(options.ring_bytes, 64 * 1024));
   const size_t total = SegmentBytes(options.slots, ring_bytes);
   const int fd = open(options.path.c_str(), O_RDWR | O_CREAT | O_TRUNC |
                       O_CLOEXEC, 0600);

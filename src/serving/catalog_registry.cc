@@ -11,8 +11,8 @@ namespace {
 
 // Publish stamps are allocated process-globally (not per registry) so a
 // stamp value is never reused, even when a later registry's slot lands on
-// a recycled address. Cache keys and the engine's thread-local snapshot
-// pin both identify a publish by its stamp alone.
+// a recycled address: a stamp read back through SNAPSHOT_INFO identifies
+// one publish on its own.
 std::atomic<uint64_t> g_next_stamp{1};
 
 uint64_t NextStamp() {

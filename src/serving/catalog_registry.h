@@ -71,11 +71,9 @@ class CatalogRegistry {
 
     // PROCESS-wide unique stamp of the latest (re)publish into this slot
     // (0 before the first publish completes). Monotone per slot and never
-    // reused across slots or registries, so (stamp, x) uniquely identifies
-    // a cached price across every curve ever served — even when a slot
-    // address is recycled by a later registry (the engine's thread-local
-    // snapshot pin relies on exactly this). A plain load on x86 — cheap
-    // enough for the per-query hot path.
+    // reused across slots or registries — even when a slot address is
+    // recycled by a later registry — so it names one publish on its own
+    // (served by SNAPSHOT_INFO).
     uint64_t stamp() const { return stamp_.load(std::memory_order_seq_cst); }
 
     // Records an access for LRU eviction (EvictIdle / max-listings).
@@ -121,7 +119,7 @@ class CatalogRegistry {
                                      const core::PiecewiseLinearPricing& curve);
 
   // Marks the curve withdrawn: subsequent Load() returns nullptr and the
-  // serving engine reports NotFound. The slot itself stays valid and the
+  // net server answers NotFound. The slot itself stays valid and the
   // id can be republished later.
   Status Withdraw(const std::string& curve_id);
 

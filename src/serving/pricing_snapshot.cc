@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <limits>
 
 #include "common/check.h"
-#include "common/sharded_cache.h"
 #include "linalg/kernels.h"
 
 namespace mbp::serving {
@@ -19,7 +19,7 @@ std::atomic<uint64_t> g_next_version{1};
 // compiles into a bounded index.
 size_t BucketCountForKnots(size_t num_knots) {
   const size_t want = std::min<size_t>(2 * num_knots, 1u << 17);
-  return static_cast<size_t>(NextPowerOfTwo(std::max<size_t>(want, 1)));
+  return std::bit_ceil(std::max<size_t>(want, 1));
 }
 
 }  // namespace

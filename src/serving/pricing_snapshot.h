@@ -11,7 +11,7 @@
 namespace mbp::serving {
 
 // An immutable, query-optimized compilation of a PiecewiseLinearPricing
-// curve — the unit the serving engine publishes and readers share without
+// curve — the unit a CatalogRegistry publishes and readers share without
 // locks.
 //
 // What compilation buys over querying the research object directly:
@@ -47,10 +47,9 @@ class PricingSnapshot {
 
   // Batched evaluation: out[i] = PriceAt(xs[i]) for i in [0, n), through
   // the runtime-dispatched pwl_batch kernel (linalg/kernels.h) — the
-  // vectorized hot path behind PriceQueryEngine::PriceBatch and the net
-  // server's micro-batches. Results are bit-identical to per-element
-  // PriceAt at every dispatch level, batch length, and remainder; see the
-  // kernel's numerical contract (DESIGN.md §5f). The one divergence is
+  // vectorized hot path behind the net server's micro-batches. Results
+  // are bit-identical to per-element PriceAt at every dispatch level,
+  // batch length, and remainder; see the kernel's numerical contract (DESIGN.md §5f). The one divergence is
   // the invalid-input policy: PriceAt MBP_CHECKs x >= 0, while the batch
   // path writes quiet NaN for NaN or negative queries, so a malformed
   // remote query degrades to a NaN price instead of aborting the server.

@@ -16,7 +16,7 @@ namespace mbp::serving {
 // of (spec, i), so every process that agrees on the spec compiles the
 // bit-identical catalog — the property the multi-process fleet leans on
 // (bench_net's bit-identity gate compares fleet answers against a local
-// engine built from the same spec, and every shard of a replicated fleet
+// registry built from the same spec, and every shard of a replicated fleet
 // serves the same curve for the same id).
 //
 // Curves are scaled sqrt shapes (concave increasing through the origin

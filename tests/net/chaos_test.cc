@@ -6,7 +6,7 @@
 // Invariants asserted:
 //   - no crash and no hung connection (the suite finishing IS the check:
 //     every client wait is deadline-bounded);
-//   - every SUCCESSFUL response is bit-identical to the engine oracle;
+//   - every SUCCESSFUL response is bit-identical to the research path;
 //   - failures are only the sanctioned degradation codes (kUnavailable,
 //     kDeadlineExceeded) or transport exhaustion (kInternal) — never a
 //     wrong answer;
@@ -51,14 +51,12 @@
 #include "net/server.h"
 #include "serving/catalog_registry.h"
 #include "serving/fulfillment.h"
-#include "serving/price_query_engine.h"
 
 namespace mbp::net {
 namespace {
 
 using core::PiecewiseLinearPricing;
 using serving::CatalogRegistry;
-using serving::PriceQueryEngine;
 
 // Same arbitrage-free family as net_integration_test.cc.
 PiecewiseLinearPricing MakeVariant(size_t k) {
@@ -96,10 +94,7 @@ class NetChaosTest : public ::testing::Test {
     fault::FaultInjector::Global().Seed(seed_);
     std::printf("[chaos] replay with MBP_CHAOS_SEED=%llu (transport=%s)\n",
                 static_cast<unsigned long long>(seed_), transport_.c_str());
-    auto published = registry_.Publish("pricing", MakeVariant(0));
-    ASSERT_TRUE(published.ok());
-    slot_ = *published;
-    engine_ = std::make_unique<PriceQueryEngine>(&registry_);
+    ASSERT_TRUE(registry_.Publish("pricing", MakeVariant(0)).ok());
     fulfillment_ = std::make_unique<serving::FulfillmentEngine>(&registry_);
   }
 
@@ -117,7 +112,7 @@ class NetChaosTest : public ::testing::Test {
       options.shm_path = shm_path_;
       options.shm_slots = 16;
     }
-    auto server = PriceServer::Start(engine_.get(), options);
+    auto server = PriceServer::Start(&registry_, options);
     ASSERT_TRUE(server.ok()) << server.status();
     server_ = std::move(*server);
   }
@@ -133,8 +128,8 @@ class NetChaosTest : public ::testing::Test {
   std::string transport_;
   std::string shm_path_;
   CatalogRegistry registry_;
-  const CatalogRegistry::CurveSlot* slot_ = nullptr;
-  std::unique_ptr<PriceQueryEngine> engine_;
+  // Research-path oracle for the "pricing" listing published in SetUp.
+  const PiecewiseLinearPricing curve_ = MakeVariant(0);
   std::unique_ptr<serving::FulfillmentEngine> fulfillment_;
   std::unique_ptr<PriceServer> server_;
 };
@@ -196,9 +191,8 @@ TEST_F(NetChaosTest, TenThousandRequestsUnderSeededFaultSchedule) {
         const double x = 12.0 * static_cast<double>(i % 997) / 997.0;
         const auto remote = (*client)->PriceAt("pricing", x);
         if (remote.ok()) {
-          const auto local = engine_->Price(slot_, x);
-          ASSERT_TRUE(local.ok());
-          if (*remote != *local) ++mismatches;  // bit-identity, not approx
+          const double local = curve_.PriceAtInverseNcp(x);
+          if (*remote != local) ++mismatches;  // bit-identity, not approx
           ++ok;
         } else if (remote.status().code() == StatusCode::kUnavailable) {
           ++unavailable;
@@ -286,15 +280,14 @@ TEST_F(NetChaosTest, ShedLadderAnswersOverloadedAndRecovers) {
   // pass and the surviving connections get real answers again.
   clients.pop_back();
   clients.pop_back();
-  const auto local = engine_->Price(slot_, 3.0);
-  ASSERT_TRUE(local.ok());
+  const double local = curve_.PriceAtInverseNcp(3.0);
   StatusOr<double> recovered = UnavailableError("not yet");
   for (int i = 0; i < 200 && !recovered.ok(); ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
     recovered = clients[0]->PriceAt("pricing", 3.0);
   }
   ASSERT_TRUE(recovered.ok()) << recovered.status();
-  EXPECT_EQ(*recovered, *local);
+  EXPECT_EQ(*recovered, local);
 }
 
 // A retrying client treats OVERLOADED as a backoff signal: under a
@@ -354,9 +347,8 @@ TEST_F(NetChaosTest, DeadlineDropsUnderInjectedBatchStall) {
   // bit-identically.
   const auto price = (*client)->PriceAt("pricing", 1.5);
   ASSERT_TRUE(price.ok()) << price.status();
-  const auto local = engine_->Price(slot_, 1.5);
-  ASSERT_TRUE(local.ok());
-  EXPECT_EQ(*price, *local);
+  const double local = curve_.PriceAtInverseNcp(1.5);
+  EXPECT_EQ(*price, local);
 }
 
 // Bounded drain under injected stalls: every server-side send hits an
@@ -433,8 +425,7 @@ TEST_F(NetChaosTest, RepublishSurvivesInjectedPublishFailures) {
   ClientOptions copts;
   auto client = Connect(copts);
   ASSERT_TRUE(client.ok()) << client.status();
-  const auto before = engine_->Price(slot_, 3.0);
-  ASSERT_TRUE(before.ok());
+  const double before = curve_.PriceAtInverseNcp(3.0);
 
   // First attempt dies on the injected allocation failure, the second on
   // the injected publish failure; the curve serves the OLD prices
@@ -444,7 +435,7 @@ TEST_F(NetChaosTest, RepublishSurvivesInjectedPublishFailures) {
     ASSERT_FALSE(failed.ok()) << "attempt " << attempt;
     const auto price = (*client)->PriceAt("pricing", 3.0);
     ASSERT_TRUE(price.ok()) << price.status();
-    EXPECT_EQ(*price, *before);
+    EXPECT_EQ(*price, before);
   }
   EXPECT_EQ(inj.Fires("serving.compile.alloc"), 1u);
   EXPECT_EQ(inj.Fires("serving.publish.fail"), 1u);
@@ -453,12 +444,11 @@ TEST_F(NetChaosTest, RepublishSurvivesInjectedPublishFailures) {
   // new curve's exact prices.
   const auto republished = registry_.Publish("pricing", MakeVariant(4));
   ASSERT_TRUE(republished.ok()) << republished.status();
-  const auto after_local = engine_->Price(*republished, 3.0);
-  ASSERT_TRUE(after_local.ok());
-  ASSERT_NE(*after_local, *before);
+  const double after_local = MakeVariant(4).PriceAtInverseNcp(3.0);
+  ASSERT_NE(after_local, before);
   const auto after_remote = (*client)->PriceAt("pricing", 3.0);
   ASSERT_TRUE(after_remote.ok()) << after_remote.status();
-  EXPECT_EQ(*after_remote, *after_local);
+  EXPECT_EQ(*after_remote, after_local);
 }
 
 // Satellite 1: the bounded non-blocking connect. A listener whose accept
@@ -510,7 +500,7 @@ TEST_F(NetChaosTest, ConnectTimesOutAgainstWedgedBacklog) {
 // Satellite for DESIGN.md §5i: a fault-stormed PURCHASE mix. Four client
 // threads interleave PRICE_AT with BUYs (client-chosen txn ids) while the
 // full short-IO/reset/EINTR schedule fires on both ends. Invariants:
-//   - every successful PRICE_AT is bit-identical to the engine oracle;
+//   - every successful PRICE_AT is bit-identical to the research path;
 //   - every COMPLETED sale replays bit-identically afterwards (REPLAY
 //     over a clean connection reproduces the delivered weight bytes);
 //   - no sale is double-charged: the server's revenue equals the sum of
@@ -563,9 +553,8 @@ TEST_F(NetChaosTest, PurchaseMixUnderFaultStormReplaysAndChargesOnce) {
           const double x = 12.0 * static_cast<double>(i % 997) / 997.0;
           const auto remote = (*client)->PriceAt("pricing", x);
           if (remote.ok()) {
-            const auto local = engine_->Price(slot_, x);
-            ASSERT_TRUE(local.ok());
-            if (*remote != *local) ++mismatches;
+            const double local = curve_.PriceAtInverseNcp(x);
+            if (*remote != local) ++mismatches;
           }
           continue;
         }
@@ -661,9 +650,8 @@ TEST_F(NetChaosTest, TransientTransportFaultIsRetriedTransparently) {
 
   const auto remote = (*client)->PriceAt("pricing", 5.0);
   ASSERT_TRUE(remote.ok()) << remote.status();
-  const auto local = engine_->Price(slot_, 5.0);
-  ASSERT_TRUE(local.ok());
-  EXPECT_EQ(*remote, *local);
+  const double local = curve_.PriceAtInverseNcp(5.0);
+  EXPECT_EQ(*remote, local);
   const ClientTelemetry& t = (*client)->telemetry();
   EXPECT_EQ(t.transport_errors, 1u);
   EXPECT_EQ(t.retries_attempted, 1u);

@@ -16,14 +16,12 @@
 
 #include "core/pricing_function.h"
 #include "net/server.h"
-#include "serving/price_query_engine.h"
 #include "serving/synthetic_catalog.h"
 
 namespace mbp::net {
 namespace {
 
 using serving::CatalogRegistry;
-using serving::PriceQueryEngine;
 
 TEST(ParseEndpointsTest, ParsesHostPortLists) {
   auto one = ParseEndpoints("10.0.0.1:7001");
@@ -145,10 +143,9 @@ class ClusterClientTest : public ::testing::Test {
     spec_.seed = 21;
     for (int i = 0; i < 2; ++i) {
       ASSERT_TRUE(serving::PublishSyntheticCatalog(spec_, &registry_[i]).ok());
-      engine_[i] = std::make_unique<PriceQueryEngine>(&registry_[i]);
       ServerOptions options;
       options.num_shards = 1;
-      auto server = PriceServer::Start(engine_[i].get(), options);
+      auto server = PriceServer::Start(&registry_[i], options);
       ASSERT_TRUE(server.ok()) << server.status();
       server_[i] = std::move(*server);
       endpoints_.push_back({"127.0.0.1", server_[i]->port()});
@@ -163,7 +160,6 @@ class ClusterClientTest : public ::testing::Test {
 
   serving::SyntheticCatalogSpec spec_;
   CatalogRegistry registry_[2];
-  std::unique_ptr<PriceQueryEngine> engine_[2];
   std::unique_ptr<PriceServer> server_[2];
   std::vector<Endpoint> endpoints_;
 };

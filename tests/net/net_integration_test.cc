@@ -7,10 +7,12 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <sched.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstring>
 #include <map>
 #include <string>
@@ -25,14 +27,12 @@
 #include "net/server.h"
 #include "random/rng.h"
 #include "serving/catalog_registry.h"
-#include "serving/price_query_engine.h"
 
 namespace mbp::net {
 namespace {
 
 using core::PiecewiseLinearPricing;
 using serving::CatalogRegistry;
-using serving::PriceQueryEngine;
 
 // Same arbitrage-free family as serving_stress_test.cc: variant k scales
 // a fixed shape by (k + 1), so exact expected prices are precomputable.
@@ -68,11 +68,10 @@ class NetServerTest : public ::testing::Test {
     auto published = registry_.Publish("pricing", MakeVariant(0));
     ASSERT_TRUE(published.ok());
     slot_ = *published;
-    engine_ = std::make_unique<PriceQueryEngine>(&registry_);
     ServerOptions options;
     options.num_shards = 2;
     options.default_curve_id = "pricing";
-    auto server = PriceServer::Start(engine_.get(), options);
+    auto server = PriceServer::Start(&registry_, options);
     ASSERT_TRUE(server.ok()) << server.status();
     server_ = std::move(*server);
     ASSERT_GT(server_->port(), 0) << "ephemeral port was not resolved";
@@ -86,7 +85,9 @@ class NetServerTest : public ::testing::Test {
 
   CatalogRegistry registry_;
   const CatalogRegistry::CurveSlot* slot_ = nullptr;
-  std::unique_ptr<PriceQueryEngine> engine_;
+  // The research-path curve behind the published "pricing" listing: the
+  // oracle every served answer must match bit for bit.
+  const PiecewiseLinearPricing curve_ = MakeVariant(0);
   std::unique_ptr<PriceServer> server_;
 };
 
@@ -96,9 +97,8 @@ TEST_F(NetServerTest, PriceAtMatchesEngineBitForBit) {
   for (const double x : {0.5, 1.0, 1.7, 3.0, 4.0, 6.5, 8.0, 12.0}) {
     const auto remote = client->PriceAt("pricing", x);
     ASSERT_TRUE(remote.ok()) << remote.status();
-    const auto local = engine_->Price(slot_, x);
-    ASSERT_TRUE(local.ok());
-    EXPECT_EQ(*remote, *local) << "x = " << x;  // exact, not approximate
+    // Exact, not approximate.
+    EXPECT_EQ(*remote, curve_.PriceAtInverseNcp(x)) << "x = " << x;
   }
 }
 
@@ -111,11 +111,8 @@ TEST_F(NetServerTest, PriceBatchMatchesEngineBitForBit) {
   }
   const auto remote = client->PriceBatch("pricing", xs);
   ASSERT_TRUE(remote.ok()) << remote.status();
-  std::vector<double> local(xs.size());
-  ASSERT_TRUE(engine_
-                  ->PriceBatch(slot_, xs.data(), local.data(), xs.size(),
-                               ParallelConfig{})
-                  .ok());
+  std::vector<double> local;
+  for (const double x : xs) local.push_back(curve_.PriceAtInverseNcp(x));
   EXPECT_EQ(*remote, local);
 }
 
@@ -125,10 +122,24 @@ TEST_F(NetServerTest, BudgetToXMatchesEngine) {
   for (const double budget : {5.0, 15.0, 25.0, 39.0, 40.0}) {
     const auto remote = client->BudgetToX("pricing", budget);
     ASSERT_TRUE(remote.ok()) << remote.status();
-    const auto local = engine_->BudgetToInverseNcp(slot_, budget);
-    ASSERT_TRUE(local.ok());
-    EXPECT_EQ(*remote, *local) << "budget = " << budget;
+    EXPECT_EQ(*remote, curve_.MaxInverseNcpForBudget(budget))
+        << "budget = " << budget;
   }
+}
+
+// BudgetToInverseNcp MBP_CHECKs budget >= 0, so a negative or NaN
+// budget off the wire used to abort the whole server process.
+TEST_F(NetServerTest, InvalidBudgetIsRejectedAndServerSurvives) {
+  auto client = Connect();
+  ASSERT_NE(client, nullptr);
+  for (const double budget : {-1.0, std::nan("")}) {
+    const auto rejected = client->BudgetToX("pricing", budget);
+    ASSERT_FALSE(rejected.ok()) << "budget = " << budget;
+    EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+  }
+  const auto served = client->BudgetToX("pricing", 15.0);
+  ASSERT_TRUE(served.ok()) << served.status();
+  EXPECT_EQ(*served, curve_.MaxInverseNcpForBudget(15.0));
 }
 
 TEST_F(NetServerTest, EmptyCurveIdSelectsServerDefault) {
@@ -136,7 +147,7 @@ TEST_F(NetServerTest, EmptyCurveIdSelectsServerDefault) {
   ASSERT_NE(client, nullptr);
   const auto remote = client->PriceAt("", 3.0);
   ASSERT_TRUE(remote.ok()) << remote.status();
-  EXPECT_EQ(*remote, engine_->Price(slot_, 3.0).value());
+  EXPECT_EQ(*remote, curve_.PriceAtInverseNcp(3.0));
 }
 
 TEST_F(NetServerTest, SnapshotInfoReflectsPublishedCurve) {
@@ -162,7 +173,7 @@ TEST_F(NetServerTest, UnknownCurveIsNotFoundAndConnectionSurvives) {
   // An application-level error must not poison the connection.
   const auto good = client->PriceAt("pricing", 2.0);
   ASSERT_TRUE(good.ok()) << good.status();
-  EXPECT_EQ(*good, engine_->Price(slot_, 2.0).value());
+  EXPECT_EQ(*good, curve_.PriceAtInverseNcp(2.0));
 }
 
 TEST_F(NetServerTest, EmbeddedNulCurveIdsAreServedExactly) {
@@ -218,7 +229,7 @@ TEST_F(NetServerTest, WithdrawnCurveIsNotFoundUntilRepublished) {
   ASSERT_TRUE(registry_.Publish("pricing", MakeVariant(1)).ok());
   const auto back = client->PriceAt("pricing", 1.0);
   ASSERT_TRUE(back.ok()) << back.status();
-  EXPECT_EQ(*back, engine_->Price(slot_, 1.0).value());
+  EXPECT_EQ(*back, MakeVariant(1).PriceAtInverseNcp(1.0));
 }
 
 TEST_F(NetServerTest, StatsVerbCountsTraffic) {
@@ -279,7 +290,7 @@ TEST_F(NetServerTest, PipelinedRequestsAllAnswered) {
   for (uint64_t id = 1; id <= kRequests; ++id) {
     ASSERT_TRUE(answers.count(id)) << "request " << id << " unanswered";
     EXPECT_EQ(answers[id],
-              engine_->Price(slot_, static_cast<double>(id) * 0.2).value());
+              curve_.PriceAtInverseNcp(static_cast<double>(id) * 0.2));
   }
 }
 
@@ -311,8 +322,7 @@ TEST_F(NetServerTest, CorruptFrameClosesConnection) {
 // two events race into one server pass, and require every fresh
 // connection to be served within a bounded time.
 TEST_F(NetServerTest, ConnectionChurnNeverStrandsFreshConnections) {
-  const auto expected = engine_->Price(slot_, 3.0);
-  ASSERT_TRUE(expected.ok());
+  const double expected = curve_.PriceAtInverseNcp(3.0);
   int fd = -1;
   for (int i = 0; i < 200; ++i) {
     if (fd >= 0) close(fd);  // races the next accept into the same pass
@@ -346,7 +356,7 @@ TEST_F(NetServerTest, ConnectionChurnNeverStrandsFreshConnections) {
     }
     EXPECT_EQ(response.request_id, request.request_id);
     ASSERT_EQ(response.values.size(), 1u);
-    EXPECT_EQ(response.values[0], *expected);
+    EXPECT_EQ(response.values[0], expected);
   }
   if (fd >= 0) close(fd);
 }
@@ -364,9 +374,9 @@ TEST_F(NetServerTest, ShutdownIsIdempotentAndRefusesNewWork) {
 
 // Acceptance test: >= 4 concurrent clients against >= 2 shards while a
 // seller republishes mid-stream. Every remote batch must bit-match
-// exactly ONE published variant (the engine's one-snapshot-per-batch
-// guarantee, now observed across a socket), and after the dust settles
-// remote answers are bit-identical to direct PriceQueryEngine calls.
+// exactly ONE published variant (the server's one-snapshot-per-batch
+// guarantee, observed across a socket), and after the dust settles
+// remote answers are bit-identical to the research path.
 TEST(NetStressTest, ConcurrentClientsBitIdenticalUnderRepublish) {
   constexpr size_t kVariants = 4;
   constexpr size_t kPublishes = 200;
@@ -390,10 +400,9 @@ TEST(NetStressTest, ConcurrentClientsBitIdenticalUnderRepublish) {
 
   CatalogRegistry registry;
   ASSERT_TRUE(registry.Publish("stress", variants[0]).ok());
-  PriceQueryEngine engine(&registry);
   ServerOptions options;
   options.num_shards = 2;
-  auto server = PriceServer::Start(&engine, options);
+  auto server = PriceServer::Start(&registry, options);
   ASSERT_TRUE(server.ok()) << server.status();
   const uint16_t port = (*server)->port();
 
@@ -463,16 +472,144 @@ TEST(NetStressTest, ConcurrentClientsBitIdenticalUnderRepublish) {
   // Quiescent: remote and direct answers are bit-identical.
   auto client = PriceClient::Connect("127.0.0.1", port);
   ASSERT_TRUE(client.ok());
-  const CatalogRegistry::CurveSlot* slot = registry.Find("stress");
-  ASSERT_NE(slot, nullptr);
+  const size_t last = kPublishes % kVariants;
   for (size_t i = 0; i < kQueryPoints; ++i) {
     const auto remote = (*client)->PriceAt("stress", xs[i]);
     ASSERT_TRUE(remote.ok());
-    EXPECT_EQ(*remote, engine.Price(slot, xs[i]).value());
+    EXPECT_EQ(*remote, expected[last][i]);
   }
   const StatsPayload stats = (*server)->stats();
   EXPECT_GE(stats.connections_accepted, kClients);
   EXPECT_EQ(stats.protocol_errors, 0u);
+  (*server)->Shutdown();
+}
+
+// Confines the calling thread, and every thread it starts while the
+// guard lives, to the first two CPUs it may run on; restores the old mask
+// on destruction. A no-op on hosts that allow fewer than two CPUs.
+class TwoCpuAffinity {
+ public:
+  TwoCpuAffinity() {
+    CPU_ZERO(&saved_);
+    if (sched_getaffinity(0, sizeof(saved_), &saved_) != 0 ||
+        CPU_COUNT(&saved_) < 2) {
+      return;
+    }
+    cpu_set_t two;
+    CPU_ZERO(&two);
+    for (int cpu = 0; cpu < CPU_SETSIZE && CPU_COUNT(&two) < 2; ++cpu) {
+      if (CPU_ISSET(cpu, &saved_)) CPU_SET(cpu, &two);
+    }
+    active_ = sched_setaffinity(0, sizeof(two), &two) == 0;
+  }
+  ~TwoCpuAffinity() {
+    if (active_) sched_setaffinity(0, sizeof(saved_), &saved_);
+  }
+  TwoCpuAffinity(const TwoCpuAffinity&) = delete;
+  TwoCpuAffinity& operator=(const TwoCpuAffinity&) = delete;
+
+ private:
+  cpu_set_t saved_;
+  bool active_ = false;
+};
+
+// Regression test: one BUDGET_TO_X frame carrying many budgets is
+// inverted on ONE snapshot. Loading the snapshot once per budget let a
+// republish racing the request answer a single response from two curves.
+// Bursts of pipelined raw frames keep the shard thread inverting budgets
+// across many passes while a writer flips the listing between two
+// variants that differ at every budget, so any mixed response matches
+// neither.
+//
+// The client, shard and writer threads share two CPUs. With a CPU each,
+// the writer's Publish can starve behind the shard's back-to-back
+// snapshot loads (libstdc++'s atomic<shared_ptr> is a test-and-test-and-
+// set spinlock), and a per-budget load would then almost never see a
+// republish land mid-request.
+TEST(NetStressTest, MultiBudgetRequestIsServedFromOneCurve) {
+  constexpr size_t kBudgets = 64;
+  constexpr size_t kRounds = 40;
+  constexpr uint64_t kPipelined = 1024;
+  const TwoCpuAffinity affinity;
+
+  const PiecewiseLinearPricing variants[2] = {MakeVariant(0), MakeVariant(1)};
+  std::vector<double> budgets(kBudgets);
+  std::vector<double> expected[2];
+  for (size_t i = 0; i < kBudgets; ++i) {
+    // Below variant 0's top price, where the two inversions always differ.
+    budgets[i] = 0.5 + 0.6 * static_cast<double>(i);
+    for (size_t k = 0; k < 2; ++k) {
+      expected[k].push_back(variants[k].MaxInverseNcpForBudget(budgets[i]));
+    }
+    ASSERT_NE(expected[0][i], expected[1][i]) << "budget " << budgets[i];
+  }
+
+  CatalogRegistry registry;
+  ASSERT_TRUE(registry.Publish("budgets", variants[0]).ok());
+  auto server = PriceServer::Start(&registry, ServerOptions{});
+  ASSERT_TRUE(server.ok()) << server.status();
+
+  std::atomic<bool> done{false};
+  std::atomic<size_t> publish_failures{0};
+  std::thread writer([&] {
+    for (size_t p = 1; !done.load(std::memory_order_acquire); ++p) {
+      if (!registry.Publish("budgets", variants[p % 2]).ok()) {
+        publish_failures.fetch_add(1);
+      }
+    }
+  });
+
+  // Every ASSERT below returns from this lambda, never past the join.
+  size_t answered = 0;
+  size_t mixed = 0;
+  const auto query = [&] {
+    const int fd = RawConnect((*server)->port());
+    ASSERT_GE(fd, 0);
+    for (size_t round = 0; round < kRounds; ++round) {
+      std::string wire;
+      for (uint64_t id = 1; id <= kPipelined; ++id) {
+        Request request;
+        request.verb = Verb::kBudgetToX;
+        request.request_id = round * kPipelined + id;
+        request.curve_id = "budgets";
+        request.args = budgets;
+        EncodeRequest(request, &wire);
+      }
+      ASSERT_EQ(send(fd, wire.data(), wire.size(), 0),
+                static_cast<ssize_t>(wire.size()));
+      std::string rx;
+      char buf[65536];
+      for (uint64_t got = 0; got < kPipelined;) {
+        const ssize_t n = recv(fd, buf, sizeof(buf), 0);
+        ASSERT_GT(n, 0) << "server closed before answering round " << round;
+        rx.append(buf, static_cast<size_t>(n));
+        while (got < kPipelined) {
+          Response response;
+          const auto consumed = DecodeResponse(
+              reinterpret_cast<const uint8_t*>(rx.data()), rx.size(),
+              &response);
+          ASSERT_TRUE(consumed.ok()) << consumed.status();
+          if (*consumed == 0) break;
+          rx.erase(0, *consumed);
+          ++got;
+          ++answered;
+          ASSERT_EQ(response.code, StatusCode::kOk) << response.error_message;
+          if (response.values != expected[0] &&
+              response.values != expected[1]) {
+            ++mixed;
+          }
+        }
+      }
+    }
+    close(fd);
+  };
+  query();
+  done.store(true, std::memory_order_release);
+  writer.join();
+
+  EXPECT_EQ(answered, kRounds * kPipelined);
+  EXPECT_EQ(mixed, 0u) << "responses answered from two curves";
+  EXPECT_EQ(publish_failures.load(), 0u);
   (*server)->Shutdown();
 }
 

@@ -28,14 +28,12 @@
 #include "net/transport.h"
 #include "serving/catalog_registry.h"
 #include "serving/fulfillment.h"
-#include "serving/price_query_engine.h"
 
 namespace mbp::net {
 namespace {
 
 using core::PiecewiseLinearPricing;
 using serving::CatalogRegistry;
-using serving::PriceQueryEngine;
 
 PiecewiseLinearPricing MakeCurve() {
   return PiecewiseLinearPricing::Create(
@@ -205,10 +203,7 @@ class TransportLoopbackTest : public ::testing::TestWithParam<const char*> {
  protected:
   void SetUp() override {
     const std::string regime = GetParam();
-    auto published = registry_.Publish("pricing", MakeCurve());
-    ASSERT_TRUE(published.ok());
-    slot_ = *published;
-    engine_ = std::make_unique<PriceQueryEngine>(&registry_);
+    ASSERT_TRUE(registry_.Publish("pricing", MakeCurve()).ok());
     fulfillment_ =
         std::make_unique<serving::FulfillmentEngine>(&registry_);
     ServerOptions options;
@@ -219,7 +214,7 @@ class TransportLoopbackTest : public ::testing::TestWithParam<const char*> {
       shm_path_ = UniqueShmPath();
       options.shm_path = shm_path_;
     }
-    auto server = PriceServer::Start(engine_.get(), options);
+    auto server = PriceServer::Start(&registry_, options);
     ASSERT_TRUE(server.ok()) << server.status();
     server_ = std::move(*server);
   }
@@ -245,8 +240,8 @@ class TransportLoopbackTest : public ::testing::TestWithParam<const char*> {
   }
 
   CatalogRegistry registry_;
-  const CatalogRegistry::CurveSlot* slot_ = nullptr;
-  std::unique_ptr<PriceQueryEngine> engine_;
+  // Research-path oracle for the "pricing" listing published in SetUp.
+  const PiecewiseLinearPricing curve_ = MakeCurve();
   std::unique_ptr<serving::FulfillmentEngine> fulfillment_;
   std::unique_ptr<PriceServer> server_;
   std::string shm_path_;
@@ -259,9 +254,8 @@ TEST_P(TransportLoopbackTest, PriceAtBitIdenticalToEngine) {
     const double x = 10.0 * static_cast<double>(i + 1) / 64.0;
     const auto remote = client->PriceAt("pricing", x);
     ASSERT_TRUE(remote.ok()) << remote.status();
-    const auto local = engine_->Price(slot_, x);
-    ASSERT_TRUE(local.ok());
-    EXPECT_EQ(*remote, *local) << "x = " << x;  // exact, not approximate
+    // Exact, not approximate.
+    EXPECT_EQ(*remote, curve_.PriceAtInverseNcp(x)) << "x = " << x;
   }
 }
 
@@ -274,11 +268,8 @@ TEST_P(TransportLoopbackTest, PriceBatchBitIdenticalToEngine) {
   }
   const auto remote = client->PriceBatch("pricing", xs);
   ASSERT_TRUE(remote.ok()) << remote.status();
-  std::vector<double> local(xs.size());
-  ASSERT_TRUE(engine_
-                  ->PriceBatch(slot_, xs.data(), local.data(), xs.size(),
-                               ParallelConfig{})
-                  .ok());
+  std::vector<double> local;
+  for (const double x : xs) local.push_back(curve_.PriceAtInverseNcp(x));
   EXPECT_EQ(*remote, local);
 }
 
@@ -293,8 +284,7 @@ TEST_P(TransportLoopbackTest, PartialFrameCarryAtEveryByteBoundary) {
   request.request_id = 777;
   std::string wire;
   EncodeRequest(request, &wire);
-  const auto expected = engine_->Price(slot_, 3.5);
-  ASSERT_TRUE(expected.ok());
+  const double expected = curve_.PriceAtInverseNcp(3.5);
 
   auto conn = RawConnect();
   ASSERT_NE(conn, nullptr);
@@ -320,7 +310,7 @@ TEST_P(TransportLoopbackTest, PartialFrameCarryAtEveryByteBoundary) {
     ASSERT_EQ(response.request_id, request.request_id);
     ASSERT_EQ(response.code, StatusCode::kOk);
     ASSERT_EQ(response.values.size(), 1u);
-    EXPECT_EQ(response.values[0], *expected) << "split " << split;
+    EXPECT_EQ(response.values[0], expected) << "split " << split;
   }
 }
 
@@ -406,7 +396,7 @@ TEST_P(TransportLoopbackTest, BuyDeliversBitIdenticalSaleOnEveryTransport) {
 // frame cap, crossing every socket/ring buffer boundary, with short-IO
 // fault points armed so the server's sends and the client's receives are
 // forcibly fragmented. Every frame must reassemble to the bit-exact
-// engine answer on every transport.
+// research-path answer on every transport.
 TEST_P(TransportLoopbackTest, LargeFramesReassembleAcrossBufferBoundaries) {
   if (fault::kBuildEnabled) {
     // Fragment both directions aggressively; schedules are per-call
@@ -435,11 +425,8 @@ TEST_P(TransportLoopbackTest, LargeFramesReassembleAcrossBufferBoundaries) {
     const auto remote = client->PriceBatch("pricing", xs);
     ASSERT_TRUE(remote.ok()) << "count " << count << ": " << remote.status();
     ASSERT_EQ(remote->size(), count);
-    std::vector<double> local(count);
-    ASSERT_TRUE(engine_
-                    ->PriceBatch(slot_, xs.data(), local.data(), count,
-                                 ParallelConfig{})
-                    .ok());
+    std::vector<double> local;
+    for (const double x : xs) local.push_back(curve_.PriceAtInverseNcp(x));
     EXPECT_EQ(*remote, local) << "count " << count;
   }
   if (fault::kBuildEnabled) fault::FaultInjector::Global().Reset();

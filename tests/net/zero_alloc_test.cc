@@ -28,7 +28,6 @@
 #include "net/protocol.h"
 #include "net/server.h"
 #include "serving/catalog_registry.h"
-#include "serving/price_query_engine.h"
 
 namespace {
 
@@ -77,7 +76,6 @@ namespace {
 
 using core::PiecewiseLinearPricing;
 using serving::CatalogRegistry;
-using serving::PriceQueryEngine;
 
 int RawConnect(uint16_t port) {
   const int fd = socket(AF_INET, SOCK_STREAM, 0);
@@ -149,14 +147,12 @@ TEST(ZeroAllocTest, SteadyStatePriceAtPathMakesNoServerHeapAllocations) {
                      {{1.0, 10.0}, {2.0, 18.0}, {4.0, 30.0}, {8.0, 40.0}})
                      .value());
   ASSERT_TRUE(published.ok());
-  PriceQueryEngine engine(&registry);
   ServerOptions options;
   // One shard, one connection: every allocation NOT made by this thread
-  // during the measured window is a server-side allocation. Batches stay
-  // far below min_pool_batch, so the ThreadPool never wakes.
+  // during the measured window is a server-side allocation.
   options.num_shards = 1;
   options.default_curve_id = "pricing";
-  auto server = PriceServer::Start(&engine, options);
+  auto server = PriceServer::Start(&registry, options);
   ASSERT_TRUE(server.ok()) << server.status();
 
   const int fd = RawConnect((*server)->port());
@@ -231,10 +227,9 @@ TEST(ZeroAllocTest, MultiCurveSteadyStateMakesNoServerHeapAllocations) {
             .value());
     ASSERT_TRUE(published.ok());
   }
-  PriceQueryEngine engine(&registry);
   ServerOptions options;
   options.num_shards = 1;
-  auto server = PriceServer::Start(&engine, options);
+  auto server = PriceServer::Start(&registry, options);
   ASSERT_TRUE(server.ok()) << server.status();
 
   const int fd = RawConnect((*server)->port());

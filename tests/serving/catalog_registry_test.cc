@@ -1,7 +1,7 @@
 // CatalogRegistry (serving/catalog_registry.h): dense-ref resolution,
 // residency gauges, idle eviction, the max-listings LRU cap, and
 // republish-under-zipf-load — the marketplace-scale behaviors layered on
-// top of the RCU publish contract (which price_query_engine_test.cc pins
+// top of the RCU publish contract (which snapshot_registry_test.cc pins
 // in its SnapshotRegistryTest cases).
 
 #include "serving/catalog_registry.h"

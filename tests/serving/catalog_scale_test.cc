@@ -1,5 +1,5 @@
 // Marketplace-scale catalog stress (opt-in: `ctest -C slow -L slow`):
-// 100k synthetic listings through the full registry + engine stack.
+// 100k synthetic listings through the registry and compiled snapshots.
 // Pins the O(1)-resolution claim operationally — publish cost is linear,
 // lookups stay uniform across the id space, eviction machinery works at
 // scale — without the wall-clock budget of the tier-1 suite.
@@ -12,7 +12,6 @@
 #include "random/distributions.h"
 #include "random/rng.h"
 #include "serving/catalog_registry.h"
-#include "serving/price_query_engine.h"
 #include "serving/synthetic_catalog.h"
 
 namespace mbp::serving {
@@ -30,8 +29,7 @@ TEST(CatalogScaleTest, HundredThousandListingsPublishResolveAndEvict) {
       << "bytes gauge must account every compiled snapshot";
 
   // Uniform + zipf-hot lookups across the whole id space, priced through
-  // the engine and checked against freshly compiled oracles.
-  PriceQueryEngine engine(&registry);
+  // the resolved snapshot and checked against freshly compiled oracles.
   random::Rng rng(31);
   const random::ZipfIndex zipf(kCurves, 1.1);
   for (int i = 0; i < 2000; ++i) {

@@ -1,6 +1,7 @@
 // Concurrency stress tests for the serving subsystem: sellers republish
-// (and withdraw) pricing curves while reader threads hammer the engine
-// with point, budget, and batch queries. Run under ThreadSanitizer by
+// (and withdraw) pricing curves while reader threads resolve the slot's
+// snapshot and run point, budget, and batch queries on it, exactly as
+// the net server does per request. Run under ThreadSanitizer by
 // scripts/tsan.sh (the suite names match its default filter).
 //
 // Correctness oracle: every published curve comes from a small fixed set
@@ -18,7 +19,7 @@
 #include "core/pricing_function.h"
 #include "random/rng.h"
 #include "serving/catalog_registry.h"
-#include "serving/price_query_engine.h"
+#include "serving/pricing_snapshot.h"
 
 namespace mbp::serving {
 namespace {
@@ -50,9 +51,11 @@ TEST(ServingStressTest, RepublishUnderQueryLoad) {
             static_cast<double>(kQueryPoints);
   }
   std::vector<std::vector<double>> expected(kVariants);
+  std::vector<double> expected_budget_x(kVariants);
   std::vector<PiecewiseLinearPricing> variants;
   for (size_t k = 0; k < kVariants; ++k) {
     variants.push_back(MakeVariant(k));
+    expected_budget_x[k] = variants[k].MaxInverseNcpForBudget(15.0);
     expected[k].resize(kQueryPoints);
     for (size_t i = 0; i < kQueryPoints; ++i) {
       expected[k][i] = variants[k].PriceAtInverseNcp(xs[i]);
@@ -63,7 +66,6 @@ TEST(ServingStressTest, RepublishUnderQueryLoad) {
   auto published = registry.Publish("stress", variants[0]);
   ASSERT_TRUE(published.ok());
   const CatalogRegistry::CurveSlot* slot = *published;
-  PriceQueryEngine engine(&registry);
 
   std::atomic<bool> done{false};
   std::atomic<size_t> failures{0};
@@ -87,34 +89,36 @@ TEST(ServingStressTest, RepublishUnderQueryLoad) {
       while (!done.load(std::memory_order_acquire)) {
         // Point query: the served price must be one variant's exact price.
         const size_t i = static_cast<size_t>(rng.NextBounded(kQueryPoints));
-        const auto price = engine.Price(slot, xs[i]);
-        if (!price.ok()) {
+        const auto snapshot = slot->Load();
+        if (snapshot == nullptr) {
           failures.fetch_add(1);
           continue;
         }
         bool matched = false;
         for (size_t k = 0; k < kVariants; ++k) {
-          if (price.value() == expected[k][i]) {
+          if (snapshot->PriceAt(xs[i]) == expected[k][i]) {
             matched = true;
             break;
           }
         }
         if (!matched) failures.fetch_add(1);
 
-        // Budget query: inverting the answer must stay on some variant.
-        const auto affordable = engine.BudgetToInverseNcp(slot, 15.0);
-        if (!affordable.ok()) failures.fetch_add(1);
+        // Budget query: the fixed budget inverts on some variant.
+        const double affordable = slot->Load()->BudgetToInverseNcp(15.0);
+        bool inverted = false;
+        for (size_t k = 0; k < kVariants; ++k) {
+          inverted = inverted || affordable == expected_budget_x[k];
+        }
+        if (!inverted) failures.fetch_add(1);
 
         // Batch query: one consistent snapshot for the whole batch.
-        ParallelConfig parallel;
-        parallel.num_threads = 2;
         batch_out.resize(batch_xs.size());
-        if (!engine
-                 .PriceBatch(slot, batch_xs.data(), batch_out.data(),
-                             batch_xs.size(), parallel)
-                 .ok()) {
+        const auto batch_snapshot = slot->Load();
+        if (batch_snapshot == nullptr) {
           failures.fetch_add(1);
         } else {
+          batch_snapshot->PriceAtBatch(batch_xs.data(), batch_out.data(),
+                                       batch_xs.size());
           // The batch must come from ONE variant, not a mix.
           size_t matching_variant = kVariants;
           for (size_t k = 0; k < kVariants; ++k) {
@@ -144,8 +148,10 @@ TEST(ServingStressTest, RepublishUnderQueryLoad) {
 
   // Quiescent check: the last published variant is now served everywhere.
   const size_t last = kPublishes % kVariants;
+  const auto snapshot = slot->Load();
+  ASSERT_NE(snapshot, nullptr);
   for (size_t i = 0; i < kQueryPoints; ++i) {
-    EXPECT_EQ(engine.Price(slot, xs[i]).value(), expected[last][i]);
+    EXPECT_EQ(snapshot->PriceAt(xs[i]), expected[last][i]);
   }
 }
 
@@ -155,7 +161,6 @@ TEST(ServingStressTest, WithdrawRepublishRace) {
   auto published = registry.Publish("flicker", MakeVariant(0));
   ASSERT_TRUE(published.ok());
   const CatalogRegistry::CurveSlot* slot = *published;
-  PriceQueryEngine engine(&registry);
   const double expected_price = MakeVariant(0).PriceAtInverseNcp(3.0);
 
   std::atomic<bool> done{false};
@@ -176,12 +181,10 @@ TEST(ServingStressTest, WithdrawRepublishRace) {
   for (size_t r = 0; r < 3; ++r) {
     readers.emplace_back([&] {
       while (!done.load(std::memory_order_acquire)) {
-        const auto price = engine.Price(slot, 3.0);
-        if (price.ok()) {
-          // A served price is always the exact published price.
-          if (price.value() != expected_price) failures.fetch_add(1);
-        } else if (price.status().code() != StatusCode::kNotFound) {
-          // Withdrawn windows must surface as NotFound, nothing else.
+        // A withdrawn window loads no snapshot (the server's kNotFound);
+        // a loaded one always serves the exact published price.
+        const auto snapshot = slot->Load();
+        if (snapshot != nullptr && snapshot->PriceAt(3.0) != expected_price) {
           failures.fetch_add(1);
         }
       }
@@ -215,12 +218,17 @@ TEST(ServingStressTest, ConcurrentFirstPublishOfDistinctIds) {
 
   EXPECT_EQ(failures.load(), 0u);
   EXPECT_EQ(registry.size(), kThreads * kIdsPerThread);
-  PriceQueryEngine engine(&registry);
   for (size_t t = 0; t < kThreads; ++t) {
     for (size_t i = 0; i < kIdsPerThread; ++i) {
       const std::string id =
           "curve-" + std::to_string(t) + "-" + std::to_string(i);
-      ASSERT_TRUE(engine.Price(id, 2.0).ok()) << id;
+      const CatalogRegistry::CurveSlot* slot = registry.Find(id);
+      ASSERT_NE(slot, nullptr) << id;
+      const auto snapshot = slot->Load();
+      ASSERT_NE(snapshot, nullptr) << id;
+      EXPECT_EQ(snapshot->PriceAt(2.0),
+                MakeVariant(t % 4).PriceAtInverseNcp(2.0))
+          << id;
     }
   }
 }

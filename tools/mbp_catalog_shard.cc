@@ -79,7 +79,6 @@
 #include "net/server.h"
 #include "serving/catalog_journal.h"
 #include "serving/fulfillment.h"
-#include "serving/price_query_engine.h"
 #include "serving/synthetic_catalog.h"
 
 namespace {
@@ -228,8 +227,6 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  serving::PriceQueryEngine engine(&registry);
-
   // Fulfillment: on by default so any shard can sell. Seeds are flags so
   // an entire fleet can agree on them — a BUY that fails over to a
   // replica must deliver the same bytes (ClusterPriceClient::Buy pins
@@ -285,7 +282,7 @@ int main(int argc, char** argv) {
     server_options.shm_slots = static_cast<size_t>(flag("shm-slots", 32));
     server_options.shm_shards = loops;
   }
-  auto server = net::PriceServer::Start(&engine, server_options);
+  auto server = net::PriceServer::Start(&registry, server_options);
   if (!server.ok()) {
     std::fprintf(stderr, "server start failed: %s\n",
                  server.status().ToString().c_str());

@@ -28,16 +28,14 @@
 //     Verifies the arbitrage-freeness certificate and runs the attacker.
 //
 //   mbp_market_cli serve  --pricing=pricing.mbp [--queries=q.txt]
-//                         [--curve-id=pricing] [--threads=0]
-//                         [--quantum=0] [--invert-budget]
+//                         [--curve-id=pricing] [--invert-budget]
 //     Compiles the stored curve into an immutable serving snapshot
 //     (re-checking the certificate), publishes it in an in-process
-//     registry, and answers price queries through the lock-free
-//     PriceQueryEngine batch path. Queries are one x = 1/NCP per line
-//     from --queries or stdin; each answer line is "x price". With
-//     --invert-budget each input line is a budget and the answer is the
-//     largest affordable x. --quantum snaps queries to a grid before
-//     evaluation (see DESIGN.md §5b).
+//     registry, and answers price queries with one PriceAtBatch call on
+//     the published snapshot (DESIGN.md §5b). Queries are one x = 1/NCP
+//     per line from --queries or stdin; each answer line is "x price".
+//     With --invert-budget each input line is a budget and the answer is
+//     the largest affordable x.
 //
 //     With --tcp[=PORT] the curve is served over TCP on 127.0.0.1
 //     instead (epoll front end, DESIGN.md §5d). --tcp=N or --port=N
@@ -107,7 +105,6 @@
 #include "net/server.h"
 #include "serving/catalog_registry.h"
 #include "serving/fulfillment.h"
-#include "serving/price_query_engine.h"
 
 namespace mbp {
 namespace {
@@ -395,7 +392,6 @@ volatile std::sig_atomic_t g_serve_shutdown = 0;
 void HandleServeSignal(int) { g_serve_shutdown = 1; }
 
 int RunServeTcp(int argc, char** argv, serving::CatalogRegistry* registry,
-                serving::PriceQueryEngine* engine,
                 const serving::CatalogRegistry::CurveSlot* slot,
                 const std::string& curve_id) {
   net::ServerOptions options;
@@ -449,7 +445,7 @@ int RunServeTcp(int argc, char** argv, serving::CatalogRegistry* registry,
     }
     options.fulfillment = fulfillment.get();
   }
-  auto server = net::PriceServer::Start(engine, options);
+  auto server = net::PriceServer::Start(registry, options);
   if (!server.ok()) return Fail(server.status().ToString());
 
   g_serve_shutdown = 0;
@@ -606,13 +602,9 @@ int RunServe(int argc, char** argv) {
   if (!published.ok()) return Fail(published.status().ToString());
   const serving::CatalogRegistry::CurveSlot* slot = *published;
 
-  serving::PriceQueryEngineOptions engine_options;
-  engine_options.quantum = DoubleFlag(argc, argv, "quantum", 0.0);
-  serving::PriceQueryEngine engine(&registry, engine_options);
-
   if (BoolFlag(argc, argv, "tcp") ||
       StringFlag(argc, argv, "tcp").has_value()) {
-    return RunServeTcp(argc, argv, &registry, &engine, slot, curve_id);
+    return RunServeTcp(argc, argv, &registry, slot, curve_id);
   }
 
   // One query per line, from --queries or stdin.
@@ -637,18 +629,12 @@ int RunServe(int argc, char** argv) {
               static_cast<unsigned long long>(snapshot->version()));
   if (invert) {
     for (const double budget : queries) {
-      auto x = engine.BudgetToInverseNcp(slot, budget);
-      if (!x.ok()) return Fail(x.status().ToString());
-      std::printf("%.17g %.17g\n", budget, x.value());
+      std::printf("%.17g %.17g\n", budget,
+                  snapshot->BudgetToInverseNcp(budget));
     }
   } else {
-    ParallelConfig parallel;
-    parallel.num_threads =
-        static_cast<size_t>(DoubleFlag(argc, argv, "threads", 0));
     std::vector<double> prices(queries.size());
-    const Status status = engine.PriceBatch(
-        slot, queries.data(), prices.data(), queries.size(), parallel);
-    if (!status.ok()) return Fail(status.ToString());
+    snapshot->PriceAtBatch(queries.data(), prices.data(), queries.size());
     for (size_t i = 0; i < queries.size(); ++i) {
       std::printf("%.17g %.17g\n", queries[i], prices[i]);
     }
