@@ -13,9 +13,11 @@
 //
 //   3. Reuse level — cold vs warm SufficientStats regimes: an l2-sweep of
 //      closed-form retrains and a SelectL2-style k-fold CV, each timed
-//      from-scratch (no cache, per-fold Subset + full Gram) and through
-//      the stats cache + fold downdates. Reports the speedup and whether
-//      cached training is bit-identical to uncached.
+//      from scratch (every retrain rebuilds its stats; per-fold Subset +
+//      full Gram) and with caller-owned reuse (one SufficientStats value
+//      handed to TrainLinearRegressionFromStats per candidate; fold
+//      downdates). Reports the speedup and whether the reused-stats
+//      coefficients are bit-identical to the from-scratch ones.
 //
 // Emits one JSON document (bench_util.h JsonWriter). Flags:
 //   --out=FILE   write JSON there instead of stdout
@@ -75,7 +77,7 @@ struct ReuseRow {
   double cold_ms = 0.0;
   double warm_ms = 0.0;
   double speedup = 0.0;
-  bool bit_identical = true;  // cached vs uncached results
+  bool bit_identical = true;  // reused-stats vs from-scratch results
 };
 
 // Median-of-3 wall time of `body` in milliseconds.
@@ -198,7 +200,8 @@ BlockRow SweepBlock(const ml::Loss& loss, size_t n, size_t d,
 // --- Reuse-level scenarios -------------------------------------------------
 
 // Cold: every retrain rebuilds Gram/X^T y from the examples. Warm: the
-// stats cache pays the O(n d^2) pass once and each retrain is a solve.
+// caller builds SufficientStats once (outside the timing) and each retrain
+// is a solve from it.
 ReuseRow SweepL2Retrain(const data::Dataset& dataset,
                         const std::vector<double>& candidates) {
   ReuseRow row;
@@ -210,18 +213,17 @@ ReuseRow SweepL2Retrain(const data::Dataset& dataset,
   row.cold_ms = TimeMs([&] {
     cold_coeffs.clear();
     for (double l2 : candidates) {
-      auto trained = ml::TrainLinearRegression(dataset, l2, nullptr);
+      auto trained = ml::TrainLinearRegression(dataset, l2);
       MBP_CHECK(trained.ok());
       const auto flat = Flatten(trained->model.coefficients());
       cold_coeffs.insert(cold_coeffs.end(), flat.begin(), flat.end());
     }
   });
-  ml::SufficientStatsCache cache(8);
-  (void)cache.GetOrBuild(dataset);  // pay the build before timing
+  const ml::SufficientStats stats = ml::SufficientStats::Build(dataset);
   row.warm_ms = TimeMs([&] {
     warm_coeffs.clear();
     for (double l2 : candidates) {
-      auto trained = ml::TrainLinearRegression(dataset, l2, &cache);
+      auto trained = ml::TrainLinearRegressionFromStats(stats, l2);
       MBP_CHECK(trained.ok());
       const auto flat = Flatten(trained->model.coefficients());
       warm_coeffs.insert(warm_coeffs.end(), flat.begin(), flat.end());
@@ -267,7 +269,7 @@ ReuseRow SweepCvSelect(const data::Dataset& dataset,
                                      order.begin() + end);
         const data::Dataset train = dataset.Subset(train_idx);
         const data::Dataset test = dataset.Subset(test_idx);
-        auto trained = ml::TrainLinearRegression(train, l2, nullptr);
+        auto trained = ml::TrainLinearRegression(train, l2);
         MBP_CHECK(trained.ok());
         (void)eval_loss.Evaluate(trained->model.coefficients(), test);
       }

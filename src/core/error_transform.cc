@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
+#include <optional>
 
 #include "linalg/kernels.h"
 #include "ml/sufficient_stats.h"
@@ -98,24 +98,23 @@ StatusOr<EmpiricalErrorTransform> EmpiricalErrorTransform::Build(
       (options.trials_per_delta + kTrialsPerChunk - 1) / kTrialsPerChunk;
   std::vector<double> partial_sums(options.grid_size * chunks_per_point);
 
-  // Every trial scores ε on the SAME dataset. Square loss: fetch its
-  // sufficient statistics once (cached across transforms built on the
-  // same dataset) and evaluate each noisy instance in O(d^2) via
+  // Every trial scores ε on the SAME dataset. Square loss: build its
+  // sufficient statistics once for this transform and evaluate each noisy
+  // instance in O(d^2) via
   //   ||y - X h||^2 = y^T y - 2 h.(X^T y) + h.(G h)
   // instead of the O(n d) streaming pass. Every other ε: the chunk's
   // noisy instances (kTrialsPerChunk == kBlockLanes) become the columns
   // of one d x 64 block, scored in a single Loss::EvaluateBlock pass.
-  std::shared_ptr<const ml::SufficientStats> eval_stats;
+  std::optional<ml::SufficientStats> eval_stats;
   if (error_function.kind() == ml::LossKind::kSquare) {
-    eval_stats = ml::SufficientStatsCache::Shared().GetOrBuild(
-        eval, options.parallel);
+    eval_stats = ml::SufficientStats::Build(eval, options.parallel);
   }
   const size_t d = optimal.size();
   MBP_RETURN_IF_ERROR(ParallelFor(
       options.parallel, 0, partial_sums.size(), 1,
       [&](size_t task_begin, size_t task_end) {
         std::vector<double> block(
-            eval_stats != nullptr ? 0 : d * linalg::kernels::kBlockLanes);
+            eval_stats.has_value() ? 0 : d * linalg::kernels::kBlockLanes);
         double errors[kTrialsPerChunk];
         for (size_t task = task_begin; task < task_end; ++task) {
           const size_t g = task / chunks_per_point;
@@ -130,7 +129,7 @@ StatusOr<EmpiricalErrorTransform> EmpiricalErrorTransform::Build(
           for (size_t t = 0; t < trials; ++t) {
             const linalg::Vector noisy =
                 mechanism.Perturb(optimal, deltas[g], rng);
-            if (eval_stats != nullptr) {
+            if (eval_stats.has_value()) {
               errors[t] = ml::SquareLossFromStats(
                   *eval_stats, noisy, error_function.l2_regularization());
               continue;
@@ -139,7 +138,7 @@ StatusOr<EmpiricalErrorTransform> EmpiricalErrorTransform::Build(
               block[j * linalg::kernels::kBlockLanes + t] = noisy.data()[j];
             }
           }
-          if (eval_stats == nullptr) {
+          if (!eval_stats.has_value()) {
             error_function.EvaluateBlock(block.data(), trials, eval, errors);
           }
           double total = 0.0;

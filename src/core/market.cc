@@ -95,7 +95,7 @@ StatusOr<BrokerSetup> PrepareSetup(const Seller& seller,
       listing.evaluate_on_test ? seller.test() : seller.train();
 
   // Square-loss ε under isotropic noise has the exact closed-form
-  // transform of Lemma 3's dataset generalization; prefer it when allowed.
+  // transform of Lemma 3's dataset generalization.
   std::unique_ptr<ErrorTransform> transform;
   const bool isotropic =
       options.mechanism != MechanismKind::kUniformMultiplicative;
@@ -103,8 +103,7 @@ StatusOr<BrokerSetup> PrepareSetup(const Seller& seller,
     // Lemma 3: E[||ĥ - h*||²] = δ exactly (for every normalized
     // mechanism); the transform is the identity.
     transform = std::make_unique<SquareLossTransform>();
-  } else if (options.prefer_analytic_square_transform && isotropic &&
-             listing.test_error == ml::LossKind::kSquare) {
+  } else if (isotropic && listing.test_error == ml::LossKind::kSquare) {
     MBP_ASSIGN_OR_RETURN(AnalyticSquareLossTransform analytic,
                          AnalyticSquareLossTransform::Build(
                              trained.model.coefficients(), eval));

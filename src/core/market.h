@@ -103,12 +103,11 @@ class Broker {
  public:
   struct Options {
     MechanismKind mechanism = MechanismKind::kGaussian;
+    // Monte-Carlo grid for the ε the closed forms do not cover. Square-loss
+    // listings under an isotropic mechanism (all but the multiplicative
+    // one) always use AnalyticSquareLossTransform instead: exact and
+    // instantaneous.
     EmpiricalErrorTransform::BuildOptions transform;
-    // For square-loss listings under an isotropic mechanism (all but the
-    // multiplicative one), use the closed-form transform of
-    // AnalyticSquareLossTransform instead of Monte Carlo: exact and
-    // instantaneous. Ignored for other ε.
-    bool prefer_analytic_square_transform = true;
     uint64_t seed = 42;
   };
 

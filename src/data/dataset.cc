@@ -1,14 +1,8 @@
 #include "data/dataset.h"
 
-#include <atomic>
 #include <cmath>
 
 namespace mbp::data {
-
-uint64_t Dataset::NextStatsKey() {
-  static std::atomic<uint64_t> counter{0};
-  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
-}
 
 std::string TaskTypeToString(TaskType task) {
   switch (task) {

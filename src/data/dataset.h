@@ -2,7 +2,6 @@
 #define MBP_DATA_DATASET_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -51,27 +50,15 @@ class Dataset {
   // New dataset containing the rows listed in `indices` (in that order).
   Dataset Subset(const std::vector<size_t>& indices) const;
 
-  // Process-unique identity of this dataset's CONTENT, assigned from a
-  // monotonic counter when the content is materialized (Create / Subset)
-  // and shared by copies — a Dataset's data is immutable after Create, so
-  // equal keys imply bit-equal features and targets. Never 0. Used by
-  // ml::SufficientStatsCache to key cached Gram matrices, X^T y vectors,
-  // and Cholesky factors (see DESIGN.md §5c).
-  uint64_t stats_key() const { return stats_key_; }
-
  private:
   Dataset(linalg::Matrix features, linalg::Vector targets, TaskType task)
       : features_(std::move(features)),
         targets_(std::move(targets)),
-        task_(task),
-        stats_key_(NextStatsKey()) {}
-
-  static uint64_t NextStatsKey();
+        task_(task) {}
 
   linalg::Matrix features_;
   linalg::Vector targets_;
   TaskType task_;
-  uint64_t stats_key_;
 };
 
 // The pair (D_train, D_test) the seller provides: D_train is used to fit the

@@ -43,11 +43,8 @@ StatusOr<std::vector<FoldContext>> BuildFoldContexts(
     const ParallelConfig& parallel) {
   const bool use_stats = model == ModelKind::kLinearRegression &&
                          dataset.task() == data::TaskType::kRegression;
-  std::shared_ptr<const SufficientStats> full_stats;
-  if (use_stats) {
-    full_stats =
-        SufficientStatsCache::Shared().GetOrBuild(dataset, parallel);
-  }
+  SufficientStats full_stats;
+  if (use_stats) full_stats = SufficientStats::Build(dataset, parallel);
   std::vector<FoldContext> contexts(plan.folds);
   // One fold per task; each task writes only its own context slot.
   MBP_RETURN_IF_ERROR(ParallelFor(
@@ -60,7 +57,7 @@ StatusOr<std::vector<FoldContext>> BuildFoldContexts(
                                              plan.order.begin() + end);
           contexts[f].test = dataset.Subset(test_idx);
           if (use_stats) {
-            contexts[f].train_stats = full_stats->Downdate(dataset, test_idx);
+            contexts[f].train_stats = full_stats.Downdate(dataset, test_idx);
           } else {
             std::vector<size_t> train_idx(plan.order.begin(),
                                           plan.order.begin() + begin);
@@ -89,8 +86,7 @@ StatusOr<CrossValidationResult> RunFolds(
           const FoldContext& ctx = contexts[f];
           StatusOr<TrainResult> trained =
               ctx.train_stats.has_value()
-                  ? TrainLinearRegressionFromStats(*ctx.train_stats, l2,
-                                                   nullptr)
+                  ? TrainLinearRegressionFromStats(*ctx.train_stats, l2)
                   : TrainOptimalModel(model, *ctx.train, l2);
           if (!trained.ok()) return trained.status();
           result.fold_errors[f] =

@@ -1,8 +1,6 @@
 #include "ml/sufficient_stats.h"
 
-#include <bit>
-#include <utility>
-
+#include "linalg/cholesky.h"
 #include "linalg/vector_ops.h"
 
 namespace mbp::ml {
@@ -14,7 +12,6 @@ SufficientStats SufficientStats::Build(const data::Dataset& dataset,
   stats.xty = linalg::MatTVec(dataset.features(), dataset.targets(), parallel);
   stats.yty = linalg::Dot(dataset.targets(), dataset.targets());
   stats.n = dataset.num_examples();
-  stats.dataset_key = dataset.stats_key();
   return stats;
 }
 
@@ -55,7 +52,6 @@ SufficientStats SufficientStats::Downdate(
   }
   out.yty = yty - block_yty;
   out.n = n - removed.size();
-  out.dataset_key = 0;  // no live dataset carries these stats
   return out;
 }
 
@@ -82,28 +78,14 @@ linalg::Vector NormalRhs(const SufficientStats& stats) {
 }  // namespace
 
 StatusOr<linalg::Vector> SolveNormalEquations(const SufficientStats& stats,
-                                              double l2,
-                                              SufficientStatsCache* cache) {
-  std::shared_ptr<const linalg::Cholesky> factor;
-  if (cache != nullptr) {
-    auto cached = cache->FactorFor(stats, l2);
-    if (!cached.ok()) {
-      return FailedPreconditionError(
-          "normal equations are singular; add L2 regularization (" +
-          cached.status().ToString() + ")");
-    }
-    factor = std::move(cached).value();
-  } else {
-    auto factored = linalg::Cholesky::Factorize(NormalMatrix(stats, l2));
-    if (!factored.ok()) {
-      return FailedPreconditionError(
-          "normal equations are singular; add L2 regularization (" +
-          factored.status().ToString() + ")");
-    }
-    factor = std::make_shared<const linalg::Cholesky>(
-        std::move(factored).value());
+                                              double l2) {
+  auto factored = linalg::Cholesky::Factorize(NormalMatrix(stats, l2));
+  if (!factored.ok()) {
+    return FailedPreconditionError(
+        "normal equations are singular; add L2 regularization (" +
+        factored.status().ToString() + ")");
   }
-  return factor->Solve(NormalRhs(stats));
+  return factored.value().Solve(NormalRhs(stats));
 }
 
 double SquareLossFromStats(const SufficientStats& stats,
@@ -118,93 +100,6 @@ double SquareLossFromStats(const SufficientStats& stats,
       stats.yty - 2.0 * linalg::Dot(h, stats.xty) + hGh;
   return residual_sq / (2.0 * static_cast<double>(stats.n)) +
          l2 * linalg::Dot(h, h);
-}
-
-SufficientStatsCache::SufficientStatsCache(size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity) {}
-
-std::shared_ptr<const SufficientStats> SufficientStatsCache::GetOrBuild(
-    const data::Dataset& dataset, const ParallelConfig& parallel) {
-  const uint64_t key = dataset.stats_key();
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = stats_.find(key);
-    if (it != stats_.end()) {
-      ++counters_.stats_hits;
-      return it->second;
-    }
-    ++counters_.stats_misses;
-  }
-  // Build outside the lock; a racing builder computes the identical value.
-  auto built =
-      std::make_shared<const SufficientStats>(SufficientStats::Build(
-          dataset, parallel));
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto [it, inserted] = stats_.emplace(key, built);
-  if (inserted) {
-    stats_order_.push_back(key);
-    EvictIfNeededLocked();
-  }
-  return it->second;  // first insert wins
-}
-
-StatusOr<std::shared_ptr<const linalg::Cholesky>>
-SufficientStatsCache::FactorFor(const SufficientStats& stats, double l2) {
-  const bool cacheable = stats.dataset_key != 0;
-  const std::pair<uint64_t, uint64_t> key{stats.dataset_key,
-                                          std::bit_cast<uint64_t>(l2)};
-  if (cacheable) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = factors_.find(key);
-    if (it != factors_.end()) {
-      ++counters_.factor_hits;
-      return it->second;
-    }
-    ++counters_.factor_misses;
-  }
-  auto factored = linalg::Cholesky::Factorize(NormalMatrix(stats, l2));
-  if (!factored.ok()) return factored.status();
-  auto factor = std::make_shared<const linalg::Cholesky>(
-      std::move(factored).value());
-  if (cacheable) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    // Only memoize factors for stats we still hold (eviction drops both).
-    if (stats_.count(stats.dataset_key) > 0) {
-      auto [it, inserted] = factors_.emplace(key, factor);
-      return it->second;
-    }
-  }
-  return factor;
-}
-
-SufficientStatsCache::Counters SufficientStatsCache::counters() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return counters_;
-}
-
-void SufficientStatsCache::Clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  stats_.clear();
-  stats_order_.clear();
-  factors_.clear();
-  counters_ = Counters{};
-}
-
-SufficientStatsCache& SufficientStatsCache::Shared() {
-  static SufficientStatsCache* cache = new SufficientStatsCache();
-  return *cache;
-}
-
-void SufficientStatsCache::EvictIfNeededLocked() {
-  while (stats_.size() > capacity_) {
-    const uint64_t victim = stats_order_.front();
-    stats_order_.pop_front();
-    stats_.erase(victim);
-    auto it = factors_.lower_bound({victim, 0});
-    while (it != factors_.end() && it->first.first == victim) {
-      it = factors_.erase(it);
-    }
-  }
 }
 
 }  // namespace mbp::ml

@@ -1,17 +1,12 @@
 #ifndef MBP_ML_SUFFICIENT_STATS_H_
 #define MBP_ML_SUFFICIENT_STATS_H_
 
-#include <cstdint>
-#include <deque>
-#include <map>
-#include <memory>
-#include <mutex>
+#include <cstddef>
 #include <vector>
 
 #include "common/statusor.h"
 #include "common/thread_pool.h"
 #include "data/dataset.h"
-#include "linalg/cholesky.h"
 #include "linalg/matrix.h"
 #include "linalg/vector.h"
 
@@ -20,19 +15,17 @@ namespace mbp::ml {
 // The sufficient statistics of least-squares training on a dataset
 // (X, y): everything the closed-form trainer, the square loss, and the
 // analytic error transform need, with the O(n d^2) pass over the examples
-// paid exactly once. The MBP pipeline re-trains on the SAME dataset over
-// and over — every l2 candidate, every Monte-Carlo noise draw, every curve
-// point — and each retrain is an O(d^3) solve from these statistics
-// instead of a fresh pass over the n examples.
+// paid exactly once. A plain value: a caller that reuses one dataset (the
+// k-fold CV fold contexts across l2 candidates, the Monte-Carlo error
+// transform across noise draws) builds it once and passes it down, so each
+// retrain is an O(d^3) solve and each loss an O(d^2) evaluation instead of
+// a fresh pass over the n examples. Nothing keeps these statistics alive
+// beyond their owner.
 struct SufficientStats {
   linalg::Matrix gram;  // X^T X (d x d)
   linalg::Vector xty;   // X^T y (d)
   double yty = 0.0;     // y^T y
   size_t n = 0;         // examples the stats were accumulated over
-  // data::Dataset::stats_key() of the source dataset, or 0 when the stats
-  // do not correspond to a live dataset (e.g. after Downdate). Key-0 stats
-  // are never cached.
-  uint64_t dataset_key = 0;
 
   // One pass over `dataset` with the dispatched SIMD kernels. Bit-identical
   // for any `parallel` (GramMatrix / MatTVec determinism contract).
@@ -46,7 +39,7 @@ struct SufficientStats {
   // The removed block's own statistics are accumulated first (in `removed`
   // order) and subtracted in one step, so each entry pays a single
   // cancellation. Cost O(|removed| d^2) against O((n - |removed|) d^2) for
-  // rebuilding from scratch. The result carries dataset_key 0.
+  // rebuilding from scratch.
   SufficientStats Downdate(const data::Dataset& full,
                            const std::vector<size_t>& removed) const;
 };
@@ -55,13 +48,9 @@ struct SufficientStats {
 //   (gram / n + 2 l2 I) h = xty / n
 // — the system TrainLinearRegression poses — from precomputed statistics.
 // FailedPrecondition when the system is not positive definite (singular
-// Gram with l2 == 0). When `cache` is non-null and the stats carry a live
-// dataset_key, the Cholesky factor is memoized per (dataset_key, l2), so
-// repeat solves (noise sweeps, curve points) skip even the O(d^3) step.
+// Gram with l2 == 0).
 StatusOr<linalg::Vector> SolveNormalEquations(const SufficientStats& stats,
-                                              double l2,
-                                              class SufficientStatsCache*
-                                                  cache = nullptr);
+                                              double l2);
 
 // The square loss (1 / 2n) ||y - X h||^2 + l2 ||h||^2 evaluated from the
 // statistics in O(d^2), via
@@ -70,59 +59,6 @@ StatusOr<linalg::Vector> SolveNormalEquations(const SufficientStats& stats,
 // expansion sums in a different order), NOT bitwise.
 double SquareLossFromStats(const SufficientStats& stats,
                            const linalg::Vector& h, double l2);
-
-// Process-wide memo for sufficient statistics and Cholesky factors, keyed
-// by data::Dataset::stats_key() (and l2 for factors). Datasets are
-// immutable after Create and keys are process-unique, so entries can never
-// go stale — "invalidation" is only FIFO eviction once `capacity` distinct
-// datasets have been seen (evicting a dataset also drops its factors).
-//
-// Determinism: a hit returns the exact object a miss would have computed
-// (Build and Factorize are deterministic), so cached and cold paths are
-// bit-identical; see the exactness gate in bench_kernels.
-//
-// Thread-safe. Builds run outside the lock: two threads racing on the same
-// key may both compute, but they compute identical values and the first
-// insert wins.
-class SufficientStatsCache {
- public:
-  explicit SufficientStatsCache(size_t capacity = 64);
-
-  // The cached stats for `dataset`, building (and inserting) on miss.
-  std::shared_ptr<const SufficientStats> GetOrBuild(
-      const data::Dataset& dataset, const ParallelConfig& parallel = {});
-
-  // The memoized Cholesky factor of (gram / n + 2 l2 I). Stats with
-  // dataset_key 0 (downdates) are factorized but never cached.
-  StatusOr<std::shared_ptr<const linalg::Cholesky>> FactorFor(
-      const SufficientStats& stats, double l2);
-
-  struct Counters {
-    size_t stats_hits = 0;
-    size_t stats_misses = 0;
-    size_t factor_hits = 0;
-    size_t factor_misses = 0;
-  };
-  Counters counters() const;
-
-  void Clear();
-
-  // The process-wide cache the trainer defaults to.
-  static SufficientStatsCache& Shared();
-
- private:
-  void EvictIfNeededLocked();
-
-  const size_t capacity_;
-  mutable std::mutex mutex_;
-  std::map<uint64_t, std::shared_ptr<const SufficientStats>> stats_;
-  std::deque<uint64_t> stats_order_;  // insertion order, for FIFO eviction
-  // Factor key: (dataset_key, bit pattern of l2).
-  std::map<std::pair<uint64_t, uint64_t>,
-           std::shared_ptr<const linalg::Cholesky>>
-      factors_;
-  Counters counters_;
-};
 
 }  // namespace mbp::ml
 

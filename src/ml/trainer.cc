@@ -59,26 +59,12 @@ LossKind TrainingLossKind(ModelKind kind) {
 }
 
 StatusOr<TrainResult> TrainLinearRegression(const data::Dataset& train,
-                                            double l2,
-                                            SufficientStatsCache* cache) {
+                                            double l2) {
   if (train.task() != data::TaskType::kRegression) {
     return InvalidArgumentError(
         "linear regression requires a regression dataset");
   }
-  // The statistics pass (Gram matrix + X^T y) is the O(n d^2) cost of this
-  // trainer; the cache pays it once per dataset. A cache hit returns the
-  // exact object a cold build computes, so the two paths are bit-identical.
-  std::shared_ptr<const SufficientStats> cached;
-  SufficientStats local;
-  const SufficientStats* stats;
-  if (cache != nullptr) {
-    cached = cache->GetOrBuild(train);
-    stats = cached.get();
-  } else {
-    local = SufficientStats::Build(train);
-    stats = &local;
-  }
-  auto solved = SolveNormalEquations(*stats, l2, cache);
+  auto solved = SolveNormalEquations(SufficientStats::Build(train), l2);
   if (!solved.ok()) return solved.status();
   LinearModel model(ModelKind::kLinearRegression, std::move(solved).value());
   const SquareLoss loss(l2);
@@ -91,11 +77,11 @@ StatusOr<TrainResult> TrainLinearRegression(const data::Dataset& train,
 }
 
 StatusOr<TrainResult> TrainLinearRegressionFromStats(
-    const SufficientStats& stats, double l2, SufficientStatsCache* cache) {
+    const SufficientStats& stats, double l2) {
   if (stats.n == 0) {
     return InvalidArgumentError("empty sufficient statistics");
   }
-  auto solved = SolveNormalEquations(stats, l2, cache);
+  auto solved = SolveNormalEquations(stats, l2);
   if (!solved.ok()) return solved.status();
   LinearModel model(ModelKind::kLinearRegression, std::move(solved).value());
   TrainResult result{.model = std::move(model),

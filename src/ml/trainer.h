@@ -1,8 +1,6 @@
 #ifndef MBP_ML_TRAINER_H_
 #define MBP_ML_TRAINER_H_
 
-#include <cstdint>
-
 #include "common/statusor.h"
 #include "data/dataset.h"
 #include "linalg/vector.h"
@@ -33,24 +31,20 @@ struct TrainResult {
 // (X^T X / n + 2*l2*I) h = X^T y / n, solved with a Cholesky factorization.
 // Returns FailedPrecondition when the system is singular and l2 == 0.
 //
-// The Gram matrix, X^T y, and the Cholesky factor are memoized in `cache`
-// (keyed by the dataset's stats_key and l2), so retraining on the same
-// dataset — every l2 candidate, every pricing curve point — skips the
-// O(n d^2) statistics pass and, on an exact (dataset, l2) repeat, the
-// O(d^3) factorization too. Pass nullptr to train from scratch; results
-// are bit-identical either way (the cache returns exactly what a cold
-// build computes).
-StatusOr<TrainResult> TrainLinearRegression(
-    const data::Dataset& train, double l2 = 0.0,
-    SufficientStatsCache* cache = &SufficientStatsCache::Shared());
+// Builds the dataset's sufficient statistics (the O(n d^2) pass) for this
+// call only and keeps nothing after it returns. A caller that retrains on
+// one dataset many times builds SufficientStats once and calls
+// TrainLinearRegressionFromStats instead; the coefficients are
+// bit-identical.
+StatusOr<TrainResult> TrainLinearRegression(const data::Dataset& train,
+                                            double l2 = 0.0);
 
 // TrainLinearRegression's solve + loss evaluation from precomputed
 // sufficient statistics (e.g. a k-fold downdate), without a Dataset in
 // hand. final_loss is the training square loss computed from the stats in
 // O(d^2) (equal to SquareLoss::Evaluate up to rounding).
 StatusOr<TrainResult> TrainLinearRegressionFromStats(
-    const SufficientStats& stats, double l2 = 0.0,
-    SufficientStatsCache* cache = &SufficientStatsCache::Shared());
+    const SufficientStats& stats, double l2 = 0.0);
 
 // Full-batch gradient descent with backtracking (Armijo) line search on any
 // differentiable loss. Robust default for the SVM's smoothed hinge.

@@ -4,6 +4,10 @@
 #include <cmath>
 #include <vector>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "data/dataset.h"
 #include "gtest/gtest.h"
 #include "linalg/vector_ops.h"
@@ -40,7 +44,6 @@ TEST(SufficientStatsTest, BuildMatchesDirectKernels) {
             stats.xty);
   EXPECT_EQ(linalg::Dot(dataset.targets(), dataset.targets()), stats.yty);
   EXPECT_EQ(dataset.num_examples(), stats.n);
-  EXPECT_EQ(dataset.stats_key(), stats.dataset_key);
 }
 
 TEST(SufficientStatsTest, BuildBitIdenticalAcrossThreadCounts) {
@@ -71,7 +74,6 @@ TEST(SufficientStatsTest, DowndateMatchesSubsetRebuildClosely) {
   const SufficientStats rebuilt =
       SufficientStats::Build(dataset.Subset(kept));
   ASSERT_EQ(rebuilt.n, down.n);
-  EXPECT_EQ(0u, down.dataset_key) << "downdated stats must be uncacheable";
   for (size_t i = 0; i < down.gram.rows(); ++i) {
     for (size_t j = 0; j < down.gram.cols(); ++j) {
       EXPECT_NEAR(rebuilt.gram(i, j), down.gram(i, j),
@@ -105,67 +107,6 @@ TEST(SufficientStatsTest, SquareLossFromStatsMatchesLossEvaluate) {
   }
 }
 
-TEST(SufficientStatsCacheTest, HitReturnsExactObjectOfMiss) {
-  SufficientStatsCache cache(8);
-  const data::Dataset dataset = MakeRegression(100, 5, 8);
-  const auto cold = cache.GetOrBuild(dataset);
-  const auto warm = cache.GetOrBuild(dataset);
-  EXPECT_EQ(cold.get(), warm.get()) << "hit must return the cached object";
-  const auto counters = cache.counters();
-  EXPECT_EQ(1u, counters.stats_misses);
-  EXPECT_EQ(1u, counters.stats_hits);
-  // And the cached object is exactly what a from-scratch build computes.
-  const SufficientStats fresh = SufficientStats::Build(dataset);
-  EXPECT_EQ(fresh.gram, cold->gram);
-  EXPECT_EQ(fresh.xty, cold->xty);
-  EXPECT_EQ(fresh.yty, cold->yty);
-}
-
-TEST(SufficientStatsCacheTest, FactorMemoizedPerDatasetAndL2) {
-  SufficientStatsCache cache(8);
-  const data::Dataset dataset = MakeRegression(100, 5, 9);
-  const auto stats = cache.GetOrBuild(dataset);
-  const auto f1 = cache.FactorFor(*stats, 0.1);
-  const auto f2 = cache.FactorFor(*stats, 0.1);
-  const auto f3 = cache.FactorFor(*stats, 0.2);
-  ASSERT_TRUE(f1.ok() && f2.ok() && f3.ok());
-  EXPECT_EQ(f1->get(), f2->get());
-  EXPECT_NE(f1->get(), f3->get()) << "distinct l2 must factor separately";
-  const auto counters = cache.counters();
-  EXPECT_EQ(1u, counters.factor_hits);
-  EXPECT_EQ(2u, counters.factor_misses);
-}
-
-TEST(SufficientStatsCacheTest, DowndatedStatsNeverCached) {
-  SufficientStatsCache cache(8);
-  const data::Dataset dataset = MakeRegression(100, 5, 10);
-  const auto stats = cache.GetOrBuild(dataset);
-  const SufficientStats down = stats->Downdate(dataset, {1, 2, 3});
-  const auto f1 = cache.FactorFor(down, 0.1);
-  const auto f2 = cache.FactorFor(down, 0.1);
-  ASSERT_TRUE(f1.ok() && f2.ok());
-  EXPECT_NE(f1->get(), f2->get());
-  EXPECT_EQ(0u, cache.counters().factor_hits);
-}
-
-TEST(SufficientStatsCacheTest, FifoEvictionDropsStatsAndFactors) {
-  SufficientStatsCache cache(2);
-  const data::Dataset d1 = MakeRegression(60, 4, 11);
-  const data::Dataset d2 = MakeRegression(60, 4, 12);
-  const data::Dataset d3 = MakeRegression(60, 4, 13);
-  const auto s1 = cache.GetOrBuild(d1);
-  ASSERT_TRUE(cache.FactorFor(*s1, 0.1).ok());
-  cache.GetOrBuild(d2);
-  cache.GetOrBuild(d3);  // evicts d1 (FIFO) and its factor
-  cache.GetOrBuild(d1);
-  const auto counters = cache.counters();
-  EXPECT_EQ(4u, counters.stats_misses) << "d1 must rebuild after eviction";
-  ASSERT_TRUE(cache.FactorFor(*s1, 0.1).ok());
-  // d1's factor was dropped with its stats entry; the re-factor is a miss
-  // (the old shared_ptr stats object is no longer the cached entry).
-  EXPECT_EQ(0u, counters.factor_hits);
-}
-
 TEST(SufficientStatsCacheTest, SingularSystemReportsFailedPrecondition) {
   // Duplicate column => singular Gram with l2 = 0.
   linalg::Matrix features(10, 2);
@@ -188,30 +129,11 @@ TEST(SufficientStatsCacheTest, SingularSystemReportsFailedPrecondition) {
   EXPECT_TRUE(SolveNormalEquations(stats, 0.1).ok());
 }
 
-TEST(TrainerStatsCacheTest, CachedTrainingBitIdenticalToUncached) {
-  const data::Dataset dataset = MakeRegression(250, 8, 15);
-  SufficientStatsCache cache(8);
-  for (double l2 : {0.0, 0.01, 0.5}) {
-    const auto uncached = TrainLinearRegression(dataset, l2, nullptr);
-    const auto cold = TrainLinearRegression(dataset, l2, &cache);
-    const auto warm = TrainLinearRegression(dataset, l2, &cache);
-    ASSERT_TRUE(uncached.ok() && cold.ok() && warm.ok());
-    EXPECT_EQ(uncached->model.coefficients(), cold->model.coefficients());
-    EXPECT_EQ(cold->model.coefficients(), warm->model.coefficients());
-    EXPECT_EQ(uncached->final_loss, cold->final_loss);
-    EXPECT_EQ(cold->final_loss, warm->final_loss);
-  }
-  // Three l2 values, two calls each through the cache: stats built once.
-  EXPECT_EQ(1u, cache.counters().stats_misses);
-  EXPECT_EQ(3u, cache.counters().factor_misses);
-  EXPECT_EQ(3u, cache.counters().factor_hits);
-}
-
 TEST(TrainerStatsCacheTest, FromStatsMatchesDatasetTraining) {
   const data::Dataset dataset = MakeRegression(250, 8, 16);
   const SufficientStats stats = SufficientStats::Build(dataset);
-  const auto direct = TrainLinearRegression(dataset, 0.05, nullptr);
-  const auto from_stats = TrainLinearRegressionFromStats(stats, 0.05, nullptr);
+  const auto direct = TrainLinearRegression(dataset, 0.05);
+  const auto from_stats = TrainLinearRegressionFromStats(stats, 0.05);
   ASSERT_TRUE(direct.ok() && from_stats.ok());
   const auto& a = direct->model.coefficients();
   const auto& b = from_stats->model.coefficients();
@@ -222,6 +144,40 @@ TEST(TrainerStatsCacheTest, FromStatsMatchesDatasetTraining) {
   EXPECT_NEAR(direct->final_loss, from_stats->final_loss,
               1e-10 * std::max(1.0, direct->final_loss));
 }
+
+#if defined(__GLIBC__)
+// Bytes the allocator has handed out and not taken back: in-use arena
+// chunks of every arena plus mmap-served chunks.
+size_t LiveHeapBytes() {
+  const struct mallinfo2 info = mallinfo2();
+  return info.uordblks + info.hblkhd;
+}
+
+TEST(TrainerLiveHeapTest, ColdTrainingsKeepNothingAlive) {
+  // The fulfillment engine's cold-BUY shape: every purchase trains once on
+  // a freshly generated dataset that never recurs. Training must keep no
+  // per-dataset state (Gram matrix, Cholesky factor) once it returns.
+  constexpr size_t kN = 720;
+  constexpr size_t kD = 90;
+  constexpr size_t kTrainings = 128;
+  // One warm-up call first, so the thread pool and any other lazily
+  // created process state exist before the baseline is taken.
+  ASSERT_TRUE(TrainLinearRegression(MakeRegression(kN, kD, 99), 0.01).ok());
+  const size_t before = LiveHeapBytes();
+  for (size_t i = 0; i < kTrainings; ++i) {
+    const auto trained =
+        TrainLinearRegression(MakeRegression(kN, kD, 1000 + i), 0.01);
+    ASSERT_TRUE(trained.ok());
+  }
+  const size_t after = LiveHeapBytes();
+  // One retained d x d matrix alone is ~63 KB; 128 trainings retaining
+  // anything per dataset would add megabytes.
+  constexpr size_t kSlackBytes = 256 * 1024;
+  EXPECT_LE(after, before + kSlackBytes)
+      << "live heap grew by " << (after - before) << " bytes over "
+      << kTrainings << " cold trainings";
+}
+#endif  // __GLIBC__
 
 }  // namespace
 }  // namespace mbp::ml

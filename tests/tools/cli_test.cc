@@ -189,6 +189,32 @@ TEST_F(CliTest, ServeAnswersPriceAndBudgetQueries) {
             std::string::npos);
 }
 
+TEST_F(CliTest, ServeInvertBudgetRejectsNegativeAndNanBudgets) {
+  const std::string pricing_path = TempPath("serve_budget_pricing.mbp");
+  {
+    std::ofstream out(pricing_path);
+    out << "mbp-pricing v1\npoints 4\n1 10\n2 18\n4 30\n8 40\n";
+  }
+  for (const std::string budget : {"-5", "nan"}) {
+    const std::string budgets_path = TempPath("serve_bad_budget.txt");
+    {
+      std::ofstream out(budgets_path);
+      out << "24\n" << budget << "\n";
+    }
+    const CommandResult result =
+        RunCli("serve --pricing=" + pricing_path + " --queries=" +
+               budgets_path + " --invert-budget");
+    // Fail()'s exit code: a clean usage error, not an abort (134) and not
+    // a signal (which popen's status would report as 0).
+    EXPECT_EQ(result.exit_code, 1) << budget << ": " << result.output;
+    EXPECT_NE(result.output.find("budget must be a number >= 0"),
+              std::string::npos)
+        << budget << ": " << result.output;
+    EXPECT_EQ(result.output.find("MBP_CHECK"), std::string::npos)
+        << budget << ": " << result.output;
+  }
+}
+
 TEST_F(CliTest, ServeRefusesArbitrageableCurve) {
   // Publish re-runs the certificate at snapshot-compile time: a convex
   // (superadditive) curve must be rejected before serving anything.

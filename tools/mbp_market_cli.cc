@@ -621,6 +621,13 @@ int RunServe(int argc, char** argv) {
   if (in != stdin) std::fclose(in);
 
   const bool invert = BoolFlag(argc, argv, "invert-budget");
+  if (invert) {
+    // BudgetToInverseNcp MBP_CHECKs budget >= 0: a negative or NaN budget
+    // line is a usage error, answered like the TCP path answers it.
+    for (const double budget : queries) {
+      if (!(budget >= 0.0)) return Fail("budget must be a number >= 0");
+    }
+  }
   const auto snapshot = slot->Load();
   std::printf("serving '%s': %zu knots, x_max %.4g, max price %.4g "
               "(snapshot v%llu)\n",
