@@ -80,17 +80,17 @@ class AnalyticSquareLossTransform final : public ErrorTransform {
   double slope_;
 };
 
-// Empirical Monte-Carlo transform for arbitrary ε (logistic loss, 0/1
-// error, ...): the Figure 6 procedure. For each δ on a grid, draws
-// `trials_per_delta` noisy instances from the mechanism and averages
-// ε(ĥ, D). The resulting table is made monotone with an isotonic fit
+// Tabulated transform for arbitrary ε (logistic loss, 0/1 error, ...):
+// E[ε] on a geometric δ grid, made monotone with an isotonic fit
 // (guaranteed by Theorem 4 for strictly convex ε; enforced numerically for
-// losses like 0/1), then interpolated in both directions.
+// losses like 0/1), then interpolated in both directions. Build fills the
+// table by Monte Carlo for any mechanism (the Figure 6 procedure);
+// BuildExactGaussian fills it exactly for the Gaussian mechanism.
 class EmpiricalErrorTransform final : public ErrorTransform {
  public:
   struct BuildOptions {
     // δ grid: `grid_size` geometrically spaced points in
-    // [delta_min, delta_max].
+    // [delta_min, delta_max], both finite.
     double delta_min = 0.01;
     double delta_max = 1.0;
     size_t grid_size = 30;
@@ -105,12 +105,34 @@ class EmpiricalErrorTransform final : public ErrorTransform {
     ParallelConfig parallel;
   };
 
-  // `optimal` is h*_λ(D); `eval` is the dataset ε operates on (test or
-  // train, per the buyer's preference).
+  // Monte Carlo: for each δ on the grid, draws `trials_per_delta` noisy
+  // instances from the mechanism and averages ε(ĥ, D). `optimal` is
+  // h*_λ(D); `eval` is the dataset ε operates on (test or train, per the
+  // buyer's preference).
   static StatusOr<EmpiricalErrorTransform> Build(
       const RandomizedMechanism& mechanism, const linalg::Vector& optimal,
       const ml::Loss& error_function, const data::Dataset& eval,
       const BuildOptions& options);
+
+  // The same table for the Gaussian mechanism K_G, computed instead of
+  // sampled. K_G adds w ~ N(0, (δ/d) I), so each example's score
+  // x_i.(h*+w) is exactly N(m_i, δ s_i^2) with m_i = x_i.h* and
+  // s_i = ||x_i|| / sqrt(d), and E[ε](δ) of a margin loss is a mean of
+  // 1-D Gaussian expectations:
+  //   0/1:            erfc(y_i m_i / (s_i sqrt(2δ))) / 2, or ZeroOneLoss's
+  //                   tie rule when s_i = 0;
+  //   smoothed hinge: closed form in Φ and φ over its three pieces;
+  //   logistic:       a fixed 32-node Gauss–Hermite rule (per-example
+  //                   error <= 3e-14 while s_i sqrt(δ) <= 1, 3e-8 at 2,
+  //                   8e-5 at 4);
+  // plus the exact l2 (||h*||^2 + δ) penalty term. Only the δ grid of
+  // `options` applies (trials_per_delta, seed and parallel do not), and
+  // the table is the same bits at every thread count and SIMD level.
+  // `eval` must be a classification dataset (labels in {-1, +1}); square
+  // loss has AnalyticSquareLossTransform instead.
+  static StatusOr<EmpiricalErrorTransform> BuildExactGaussian(
+      const linalg::Vector& optimal, const ml::Loss& error_function,
+      const data::Dataset& eval, const BuildOptions& options);
 
   double ExpectedError(double delta) const override;
   double DeltaForError(double error) const override;

@@ -116,13 +116,19 @@ StatusOr<BrokerSetup> PrepareSetup(const Seller& seller,
     transform_options.seed = options.seed ^ 0x9E3779B97F4A7C15ULL;
     std::unique_ptr<ml::Loss> epsilon =
         ml::MakeLoss(listing.test_error, 0.0);
+    // Under K_G a margin ε's table is a sum of 1-D Gaussian expectations,
+    // computed exactly; the other mechanisms sample it.
     MBP_ASSIGN_OR_RETURN(
-        EmpiricalErrorTransform empirical,
-        EmpiricalErrorTransform::Build(*mechanism,
-                                       trained.model.coefficients(),
-                                       *epsilon, eval, transform_options));
-    transform =
-        std::make_unique<EmpiricalErrorTransform>(std::move(empirical));
+        EmpiricalErrorTransform table,
+        options.mechanism == MechanismKind::kGaussian
+            ? EmpiricalErrorTransform::BuildExactGaussian(
+                  trained.model.coefficients(), *epsilon, eval,
+                  transform_options)
+            : EmpiricalErrorTransform::Build(*mechanism,
+                                             trained.model.coefficients(),
+                                             *epsilon, eval,
+                                             transform_options));
+    transform = std::make_unique<EmpiricalErrorTransform>(std::move(table));
   }
   return BrokerSetup{std::move(trained.model), std::move(mechanism),
                      std::move(transform)};
@@ -213,6 +219,9 @@ StatusOr<Transaction> Broker::BuyAtNcp(double delta) {
 }
 
 StatusOr<Transaction> Broker::BuyWithErrorBudget(double error_budget) {
+  if (!std::isfinite(error_budget)) {
+    return InvalidArgumentError("error budget must be finite");
+  }
   if (error_budget < transform_->MinError()) {
     return InfeasibleError(
         "error budget is below the optimal instance's error");
@@ -222,8 +231,8 @@ StatusOr<Transaction> Broker::BuyWithErrorBudget(double error_budget) {
 }
 
 StatusOr<Transaction> Broker::BuyWithPriceBudget(double price_budget) {
-  if (price_budget < 0.0) {
-    return InvalidArgumentError("price budget must be non-negative");
+  if (!(price_budget >= 0.0)) {
+    return InvalidArgumentError("price budget must be a number >= 0");
   }
   double x = pricing_.MaxInverseNcpForBudget(price_budget);
   if (std::isinf(x)) {
@@ -329,6 +338,9 @@ StatusOr<Transaction> Buyer::Purchase(Broker& broker,
       price = broker.pricing().PriceAtNcp(request.parameter);
       break;
     case BuyerRequest::Mode::kErrorBudget: {
+      if (!std::isfinite(request.parameter)) {
+        return InvalidArgumentError("error budget must be finite");
+      }
       if (request.parameter < broker.error_transform().MinError()) {
         return InfeasibleError("error budget below optimal error");
       }

@@ -103,10 +103,14 @@ class Broker {
  public:
   struct Options {
     MechanismKind mechanism = MechanismKind::kGaussian;
-    // Monte-Carlo grid for the ε the closed forms do not cover. Square-loss
+    // Error-table options for the ε the closed forms do not cover. Its
+    // δ range is always derived from the market research. Square-loss
     // listings under an isotropic mechanism (all but the multiplicative
-    // one) always use AnalyticSquareLossTransform instead: exact and
-    // instantaneous.
+    // one) use AnalyticSquareLossTransform instead. Margin-loss listings
+    // under the Gaussian mechanism use
+    // EmpiricalErrorTransform::BuildExactGaussian on `grid_size` points,
+    // which draws nothing, so `trials_per_delta`, `seed` and `parallel`
+    // apply only to the Monte-Carlo table of the other mechanisms.
     EmpiricalErrorTransform::BuildOptions transform;
     uint64_t seed = 42;
   };

@@ -8,14 +8,14 @@
 #include "linalg/vector_ops.h"
 
 namespace mbp::ml {
-namespace {
 
-// Numerically stable log(1 + exp(z)).
 double Log1pExp(double z) {
   if (z > 35.0) return z;
   if (z < -35.0) return std::exp(z);
   return std::log1p(std::exp(z));
 }
+
+namespace {
 
 // Stable logistic sigmoid 1 / (1 + exp(-z)).
 double Sigmoid(double z) {

@@ -178,6 +178,9 @@ class ZeroOneLoss final : public Loss {
                      const data::Dataset& data, double* out) const override;
 };
 
+// Numerically stable log(1 + exp(z)): the logistic loss at margin -z.
+double Log1pExp(double z);
+
 // Factory keyed by LossKind. `l2` is ignored for kZeroOne.
 std::unique_ptr<Loss> MakeLoss(LossKind kind, double l2 = 0.0);
 

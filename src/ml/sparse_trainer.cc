@@ -4,15 +4,10 @@
 #include <functional>
 
 #include "linalg/vector_ops.h"
+#include "ml/loss.h"
 
 namespace mbp::ml {
 namespace {
-
-double Log1pExp(double z) {
-  if (z > 35.0) return z;
-  if (z < -35.0) return std::exp(z);
-  return std::log1p(std::exp(z));
-}
 
 double Sigmoid(double z) {
   if (z >= 0.0) {

@@ -2,16 +2,20 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "data/synthetic.h"
+#include "data/uci_like.h"
+#include "linalg/kernels.h"
 #include "ml/trainer.h"
 #include "optim/pava.h"
 
@@ -413,6 +417,300 @@ TEST_F(EmpiricalTransformTest, ZeroOneLossTransformIsMonotoneToo) {
   }
   // More noise should hurt accuracy substantially across the range.
   EXPECT_GT(errors.back(), errors.front());
+}
+
+// ------------------------------------------------- exact Gaussian tables
+
+// The three Table-3 classifier stand-ins at the listing's scale (test
+// sets of 1250 x 20, 200 x 54 and 625 x 18), each with its logistic h*.
+struct Classifier {
+  std::string name;
+  data::Dataset test;
+  linalg::Vector optimal;
+};
+
+class ExactGaussianTransformTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    classifiers_ = new std::vector<Classifier>();
+    for (const data::DatasetSpec& spec : data::PaperTable3Specs()) {
+      if (spec.task != data::TaskType::kBinaryClassification) continue;
+      data::TrainTestSplit split =
+          data::GenerateUciLike(spec, 0.0005, /*seed=*/7).value();
+      linalg::Vector optimal =
+          ml::TrainOptimalModel(ml::ModelKind::kLogisticRegression,
+                                split.train, 1e-3)
+              .value()
+              .model.coefficients();
+      classifiers_->push_back(
+          {spec.name, std::move(split.test), std::move(optimal)});
+    }
+  }
+  static void TearDownTestSuite() {
+    delete classifiers_;
+    classifiers_ = nullptr;
+  }
+  void TearDown() override {
+    linalg::kernels::ForceLevelForTesting(std::nullopt);
+  }
+
+  // The margin losses, penalized where a penalty exists so the exact
+  // l2 (||h*||^2 + δ) term is exercised.
+  static std::vector<std::unique_ptr<ml::Loss>> MarginLosses() {
+    std::vector<std::unique_ptr<ml::Loss>> losses;
+    losses.push_back(std::make_unique<ml::ZeroOneLoss>());
+    losses.push_back(std::make_unique<ml::LogisticLoss>(0.01));
+    losses.push_back(std::make_unique<ml::SmoothedHingeLoss>(0.01));
+    return losses;
+  }
+
+  static std::vector<Classifier>* classifiers_;
+};
+
+std::vector<Classifier>* ExactGaussianTransformTest::classifiers_ = nullptr;
+
+// Exact against the Monte-Carlo oracle at 20k trials per δ, over the
+// listing's δ range and Figure 6's: every grid point within 4 standard
+// errors. The standard error of each grid point's Monte-Carlo mean is
+// sd / sqrt(20000), with sd the spread of ε over 400 independent K_G
+// draws at that δ.
+TEST_F(ExactGaussianTransformTest, MatchesMonteCarloAtTable3Shapes) {
+  constexpr size_t kTrials = 20000;
+  constexpr size_t kSpreadDraws = 400;
+  GaussianMechanism mechanism;
+  EmpiricalErrorTransform::BuildOptions options;
+  options.delta_min = 0.005;
+  options.delta_max = 1.0;
+  options.grid_size = 5;
+  options.trials_per_delta = kTrials;
+  options.seed = 2024;
+  options.parallel.num_threads = 4;
+  for (const Classifier& c : *classifiers_) {
+    for (const auto& loss : MarginLosses()) {
+      SCOPED_TRACE(c.name + " / " + loss->name());
+      auto exact = EmpiricalErrorTransform::BuildExactGaussian(
+          c.optimal, *loss, c.test, options);
+      auto sampled = EmpiricalErrorTransform::Build(mechanism, c.optimal,
+                                                    *loss, c.test, options);
+      ASSERT_TRUE(exact.ok()) << exact.status();
+      ASSERT_TRUE(sampled.ok()) << sampled.status();
+      ASSERT_EQ(exact->delta_grid(), sampled->delta_grid());
+      random::Rng rng(77);
+      for (size_t g = 0; g < options.grid_size; ++g) {
+        const double delta = exact->delta_grid()[g];
+        double sum = 0.0, sum_sq = 0.0;
+        for (size_t t = 0; t < kSpreadDraws; ++t) {
+          const double e =
+              loss->Evaluate(mechanism.Perturb(c.optimal, delta, rng), c.test);
+          sum += e;
+          sum_sq += e * e;
+        }
+        const double mean = sum / kSpreadDraws;
+        const double sd = std::sqrt(
+            std::max(0.0, (sum_sq - kSpreadDraws * mean * mean) /
+                              (kSpreadDraws - 1)));
+        const double standard_error = sd / std::sqrt(double{kTrials});
+        EXPECT_NEAR(exact->error_grid()[g], sampled->error_grid()[g],
+                    4.0 * standard_error + 1e-12)
+            << "delta " << delta << ", standard error " << standard_error;
+      }
+    }
+  }
+}
+
+// An all-zero example's score is 0 under every noise draw, so it follows
+// ZeroOneLoss's tie rule (score > 0 ? +1 : -1) at every δ: wrong when
+// labelled +1, right when labelled -1.
+TEST_F(ExactGaussianTransformTest, ZeroNormExampleFollowsTheTieRule) {
+  linalg::Matrix features(3, 2);
+  features(2, 0) = 1.0;  // rows 0 and 1 stay all-zero
+  const data::Dataset data =
+      data::Dataset::Create(std::move(features),
+                            linalg::Vector{1.0, -1.0, 1.0},
+                            data::TaskType::kBinaryClassification)
+          .value();
+  const linalg::Vector optimal{0.5, 0.0};
+  const ml::ZeroOneLoss loss;
+  EmpiricalErrorTransform::BuildOptions options;
+  options.delta_min = 0.01;
+  options.delta_max = 4.0;
+  options.grid_size = 7;
+  auto exact =
+      EmpiricalErrorTransform::BuildExactGaussian(optimal, loss, data, options);
+  ASSERT_TRUE(exact.ok()) << exact.status();
+  EXPECT_DOUBLE_EQ(exact->MinError(), 1.0 / 3.0);
+  for (size_t g = 0; g < options.grid_size; ++g) {
+    // Row 2: score 0.5, spread ||x|| / sqrt(d) = 1 / sqrt(2).
+    const double delta = exact->delta_grid()[g];
+    const double row2 = 0.5 * std::erfc(0.5 / std::sqrt(delta));
+    EXPECT_NEAR(exact->error_grid()[g], (1.0 + 0.0 + row2) / 3.0, 1e-15)
+        << "delta " << delta;
+  }
+}
+
+// At δ = 1e-12 the Φ and φ tails are far out: no NaN or inf, and on data
+// without near-ties each loss's table is the optimal instance's error.
+TEST_F(ExactGaussianTransformTest, TinyDeltaIsFiniteAndEqualsEvaluate) {
+  EmpiricalErrorTransform::BuildOptions options;
+  options.delta_min = 1e-12;
+  options.delta_max = 2e-12;
+  options.grid_size = 3;
+  for (const Classifier& c : *classifiers_) {
+    // Tie-free: every score lies over 40 of its noise stddevs
+    // (||x_i|| / sqrt(d)) sqrt(δ) from 0 on the whole grid, where erfc
+    // saturates to 0 or 2.
+    for (size_t i = 0; i < c.test.num_examples(); ++i) {
+      const double* x = c.test.ExampleFeatures(i);
+      double score = 0.0, norm_sq = 0.0;
+      for (size_t j = 0; j < c.optimal.size(); ++j) {
+        score += x[j] * c.optimal[j];
+        norm_sq += x[j] * x[j];
+      }
+      const double stddev =
+          std::sqrt(norm_sq / static_cast<double>(c.optimal.size()) *
+                    options.delta_max);
+      ASSERT_GT(std::fabs(score), 40.0 * stddev) << c.name;
+    }
+    for (const auto& loss : MarginLosses()) {
+      SCOPED_TRACE(c.name + " / " + loss->name());
+      auto exact = EmpiricalErrorTransform::BuildExactGaussian(
+          c.optimal, *loss, c.test, options);
+      ASSERT_TRUE(exact.ok()) << exact.status();
+      const double at_optimum = loss->Evaluate(c.optimal, c.test);
+      EXPECT_TRUE(std::isfinite(exact->ExpectedError(1e-12)));
+      for (double error : exact->error_grid()) {
+        ASSERT_TRUE(std::isfinite(error));
+        if (loss->kind() == ml::LossKind::kZeroOne) {
+          EXPECT_EQ(error, at_optimum);
+        } else {
+          EXPECT_NEAR(error, at_optimum, 1e-9);
+        }
+      }
+    }
+  }
+}
+
+// The table never falls as δ grows, and the error-inverse undoes
+// ExpectedError. The convex losses' tables rise strictly, so δ itself
+// round-trips; the 0/1 table may pool into flat runs (CovType's does: its
+// h* misclassifies enough near-boundary examples that noise does not
+// raise the expected 0/1 error), where only the error round-trips.
+TEST_F(ExactGaussianTransformTest, IsMonotoneAndInvertsExactly) {
+  EmpiricalErrorTransform::BuildOptions options;
+  options.delta_min = 0.005;
+  options.delta_max = 0.2;
+  for (const Classifier& c : *classifiers_) {
+    for (const auto& loss : MarginLosses()) {
+      SCOPED_TRACE(c.name + " / " + loss->name());
+      auto exact = EmpiricalErrorTransform::BuildExactGaussian(
+          c.optimal, *loss, c.test, options);
+      ASSERT_TRUE(exact.ok()) << exact.status();
+      const bool convex = loss->kind() != ml::LossKind::kZeroOne;
+      const std::vector<double>& errors = exact->error_grid();
+      for (size_t g = 1; g < errors.size(); ++g) {
+        if (convex) {
+          EXPECT_LT(errors[g - 1], errors[g]) << "grid point " << g;
+        } else {
+          EXPECT_LE(errors[g - 1], errors[g]) << "grid point " << g;
+        }
+      }
+      for (double delta : {0.005, 0.013, 0.05, 0.11, 0.2}) {
+        const double error = exact->ExpectedError(delta);
+        const double inverse = exact->DeltaForError(error);
+        EXPECT_NEAR(exact->ExpectedError(inverse), error, 1e-12 * error);
+        if (convex) {
+          EXPECT_NEAR(inverse, delta, 1e-9 * delta);
+        }
+      }
+    }
+  }
+}
+
+// The table is computed with plain loops, so it does not depend on which
+// kernels the process dispatches to.
+TEST_F(ExactGaussianTransformTest, SameBitsAtEverySimdLevel) {
+  const Classifier& c = classifiers_->front();
+  EmpiricalErrorTransform::BuildOptions options;
+  options.delta_min = 0.005;
+  options.delta_max = 1.0;
+  for (const auto& loss : MarginLosses()) {
+    SCOPED_TRACE(loss->name());
+    ASSERT_TRUE(linalg::kernels::ForceLevelForTesting(SimdLevel::kScalar));
+    const std::vector<double> scalar =
+        EmpiricalErrorTransform::BuildExactGaussian(c.optimal, *loss, c.test,
+                                                    options)
+            ->error_grid();
+    if (!linalg::kernels::ForceLevelForTesting(SimdLevel::kAvx2Fma)) {
+      GTEST_SKIP() << "no AVX2+FMA on this build or CPU";
+    }
+    EXPECT_EQ(EmpiricalErrorTransform::BuildExactGaussian(c.optimal, *loss,
+                                                          c.test, options)
+                  ->error_grid(),
+              scalar);
+  }
+}
+
+// NaN compares false with every table entry, so the inverse's search
+// would run off the end of the table; it returns NaN instead.
+TEST_F(ExactGaussianTransformTest, DeltaForNanErrorIsNan) {
+  const Classifier& c = classifiers_->front();
+  auto exact = EmpiricalErrorTransform::BuildExactGaussian(
+      c.optimal, ml::ZeroOneLoss(), c.test, {});
+  ASSERT_TRUE(exact.ok()) << exact.status();
+  EXPECT_TRUE(std::isnan(
+      exact->DeltaForError(std::numeric_limits<double>::quiet_NaN())));
+}
+
+TEST_F(ExactGaussianTransformTest, RejectsSquareLossAndRegressionData) {
+  const Classifier& c = classifiers_->front();
+  EXPECT_EQ(EmpiricalErrorTransform::BuildExactGaussian(
+                c.optimal, ml::SquareLoss(0.0), c.test, {})
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  data::Simulated1Options regression;
+  regression.num_examples = 50;
+  regression.num_features = c.optimal.size();
+  EXPECT_EQ(EmpiricalErrorTransform::BuildExactGaussian(
+                c.optimal, ml::ZeroOneLoss(),
+                data::GenerateSimulated1(regression).value(), {})
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(EmpiricalErrorTransform::BuildExactGaussian(
+                linalg::Vector(2), ml::ZeroOneLoss(), c.test, {})
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+}
+
+// A NaN or infinite δ bound would make a NaN or infinite grid; both
+// factories refuse it.
+TEST_F(ExactGaussianTransformTest, BothFactoriesRejectNonFiniteDeltaBounds) {
+  const Classifier& c = classifiers_->front();
+  GaussianMechanism mechanism;
+  const ml::ZeroOneLoss loss;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::pair<double, double> bounds[] = {
+      {0.01, nan}, {0.01, inf}, {nan, 1.0}, {inf, 1.0}, {-inf, 1.0}};
+  for (const auto& [delta_min, delta_max] : bounds) {
+    SCOPED_TRACE(std::to_string(delta_min) + ", " + std::to_string(delta_max));
+    EmpiricalErrorTransform::BuildOptions options;
+    options.delta_min = delta_min;
+    options.delta_max = delta_max;
+    options.trials_per_delta = 10;
+    EXPECT_EQ(EmpiricalErrorTransform::Build(mechanism, c.optimal, loss,
+                                             c.test, options)
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(EmpiricalErrorTransform::BuildExactGaussian(c.optimal, loss,
+                                                          c.test, options)
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument);
+  }
 }
 
 }  // namespace

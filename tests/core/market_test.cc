@@ -1,6 +1,9 @@
 #include "core/market.h"
 
 #include <cmath>
+#include <limits>
+#include <optional>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -8,6 +11,7 @@
 #include "core/curves.h"
 #include "data/split.h"
 #include "data/synthetic.h"
+#include "linalg/kernels.h"
 #include "ml/metrics.h"
 
 namespace mbp::core {
@@ -49,6 +53,37 @@ class MarketTest : public ::testing::Test {
     options.transform.grid_size = 10;
     options.transform.trials_per_delta = 100;
     return Broker::Create(MakeRegressionSeller(), listing, options).value();
+  }
+
+  static Seller MakeClassificationSeller() {
+    data::Simulated2Options data_options;
+    data_options.num_examples = 500;
+    data_options.num_features = 4;
+    data_options.seed = 12;
+    data::Dataset dataset = data::GenerateSimulated2(data_options).value();
+    random::Rng rng(13);
+    data::TrainTestSplit split =
+        data::RandomSplit(dataset, 0.3, rng).value();
+
+    MarketCurveOptions curve_options;
+    curve_options.num_points = 6;
+    curve_options.x_min = 2.0;
+    curve_options.x_max = 12.0;
+    return Seller::Create("tweets", std::move(split),
+                          MakeMarketCurve(curve_options).value())
+        .value();
+  }
+
+  // A logistic classifier sold under the Gaussian mechanism with 0/1 test
+  // error: its error table is the exact one.
+  static Broker MakeClassificationBroker(
+      const Broker::Options& options = Broker::Options{}) {
+    ModelListing listing;
+    listing.model = ml::ModelKind::kLogisticRegression;
+    listing.l2 = 0.01;
+    listing.test_error = ml::LossKind::kZeroOne;
+    return Broker::Create(MakeClassificationSeller(), listing, options)
+        .value();
   }
 };
 
@@ -338,6 +373,83 @@ TEST_F(MarketTest, ModelSpaceErrorListingUsesLemma3Exactly) {
   EXPECT_NEAR(txn->delta, 0.05, 1e-12);
   // The SLA audit covers the model-space clause too.
   EXPECT_TRUE(broker->VerifySla(300, 0.25).ok());
+}
+
+// NaN compares false with everything, so a NaN budget used to slip past
+// the range checks: into MaxInverseNcpForBudget's MBP_CHECK (price) or
+// off the end of the error table (error). Both brokers' transforms, and
+// the Buyer path in front of them, now refuse it.
+TEST_F(MarketTest, NonNumericBudgetsAreInvalidArguments) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<Broker> brokers;
+  brokers.push_back(MakeRegressionBroker());
+  brokers.push_back(MakeClassificationBroker());
+  for (Broker& broker : brokers) {
+    SCOPED_TRACE(ml::LossKindToString(broker.listing().test_error));
+    EXPECT_EQ(broker.BuyWithPriceBudget(nan).status().code(),
+              StatusCode::kInvalidArgument);
+    for (double budget : {nan, inf, -inf}) {
+      EXPECT_EQ(broker.BuyWithErrorBudget(budget).status().code(),
+                StatusCode::kInvalidArgument)
+          << budget;
+    }
+    Buyer buyer("carol", 100.0);
+    for (BuyerRequest::Mode mode : {BuyerRequest::Mode::kErrorBudget,
+                                    BuyerRequest::Mode::kPriceBudget}) {
+      BuyerRequest request;
+      request.mode = mode;
+      request.parameter = nan;
+      EXPECT_EQ(buyer.Purchase(broker, request).status().code(),
+                StatusCode::kInvalidArgument);
+    }
+    EXPECT_EQ(buyer.wallet(), 100.0);
+    EXPECT_TRUE(broker.transactions().empty());
+  }
+}
+
+// Under K_G the quoted curve is computed, not sampled: the transform's
+// seed and thread count leave every quote the same bits. Across SIMD
+// levels the table is the same function of h* (see
+// ExactGaussianTransformTest.SameBitsAtEverySimdLevel), but training h*
+// runs on the dispatched kernels and rounds differently per level, so
+// there the quotes agree to rounding only.
+TEST_F(MarketTest, GaussianClassifierQuotesAreExactlyReproducible) {
+  const auto quotes = [](const Broker& broker) {
+    std::vector<double> out;
+    for (const QuotePoint& quote : broker.QuoteCurve(25)) {
+      out.push_back(quote.expected_error);
+    }
+    return out;
+  };
+  Broker::Options options;
+  options.transform.seed = 1;
+  options.transform.parallel.num_threads = 1;
+  const std::vector<double> reference =
+      quotes(MakeClassificationBroker(options));
+  options.transform.seed = 9001;
+  options.transform.parallel.num_threads = 4;
+  EXPECT_EQ(quotes(MakeClassificationBroker(options)), reference);
+  for (SimdLevel level : {SimdLevel::kScalar, SimdLevel::kAvx2Fma}) {
+    if (!linalg::kernels::ForceLevelForTesting(level)) continue;
+    const std::vector<double> at_level =
+        quotes(MakeClassificationBroker(options));
+    linalg::kernels::ForceLevelForTesting(std::nullopt);
+    ASSERT_EQ(at_level.size(), reference.size());
+    for (size_t i = 0; i < reference.size(); ++i) {
+      EXPECT_NEAR(at_level[i], reference[i], 1e-12 * reference[i])
+          << SimdLevelName(level) << " quote " << i;
+    }
+  }
+}
+
+// The SLA audit measures the mean 0/1 error of fresh K_G draws at three
+// NCPs; the exact table quotes it within 2%.
+TEST_F(MarketTest, VerifySlaPassesGaussianZeroOneListingAtTwoPercent) {
+  const Broker broker = MakeClassificationBroker();
+  const Status sla = broker.VerifySla(/*trials=*/4000,
+                                      /*relative_tolerance=*/0.02);
+  EXPECT_TRUE(sla.ok()) << sla;
 }
 
 TEST_F(MarketTest, ClassificationMarketEndToEnd) {

@@ -139,6 +139,24 @@ TEST_F(CliTest, PriceSellCheckRoundTrip) {
   EXPECT_TRUE(instance.good());
 }
 
+TEST_F(CliTest, SellRejectsNanBudget) {
+  const std::string pricing_path = TempPath("sell_nan_pricing.mbp");
+  {
+    std::ofstream out(pricing_path);
+    out << "mbp-pricing v1\npoints 4\n1 10\n2 18\n4 30\n8 40\n";
+  }
+  const CommandResult result =
+      RunCli("sell --csv=" + *csv_path_ + " --task=regression --pricing=" +
+             pricing_path + " --budget=nan");
+  // Fail()'s exit code, not an abort (134) from the budget MBP_CHECK.
+  EXPECT_EQ(result.exit_code, 1) << result.output;
+  EXPECT_NE(result.output.find("--budget must be a number >= 0"),
+            std::string::npos)
+      << result.output;
+  EXPECT_EQ(result.output.find("MBP_CHECK"), std::string::npos)
+      << result.output;
+}
+
 TEST_F(CliTest, CheckPricingFlagsBrokenCurves) {
   const std::string bad_path = TempPath("bad_pricing.mbp");
   {

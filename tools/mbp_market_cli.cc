@@ -320,7 +320,7 @@ int RunSell(int argc, char** argv) {
   auto pricing = io::ReadPricing(*pricing_path);
   if (!pricing.ok()) return Fail(pricing.status().ToString());
   const double budget = DoubleFlag(argc, argv, "budget", -1.0);
-  if (budget < 0.0) return Fail("--budget is required (>= 0)");
+  if (!(budget >= 0.0)) return Fail("--budget must be a number >= 0");
 
   core::MarketCurveOptions placeholder;  // research unused with fixed pricing
   placeholder.x_min = pricing->points().front().x;
